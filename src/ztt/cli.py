@@ -86,11 +86,17 @@ def _fmt_float(x: float, precision: int) -> str:
 # renderers
 
 
+def _cell(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(value) + "]"
+    return str(value)
+
+
 def _emit_table(columns, rows) -> str:
     widths = [len(c) for c in columns]
     grid = []
     for row in rows:
-        cells = [str(row[c]) for c in columns]
+        cells = [_cell(row[c]) for c in columns]
         grid.append(cells)
         widths = [max(w, len(s)) for w, s in zip(widths, cells)]
     out = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
@@ -133,23 +139,21 @@ def _theta_table(args):
     if any(n < 1 for n in ns) or any(k < 0 for k in ks):
         raise UsageError("need n >= 1 and k >= 0")
     t_values = [parse_rational(t) for t in args.t] if args.t else []
-    budget = _resolve_budget(args)
+    as_csv = args.format == "csv"
+    show_agree = args.algo == "all"
+    if as_csv and show_agree:
+        raise UsageError(
+            "--algo all has no CSV rendering; the CSV schema is "
+            "n,k,coeff_index,value (or n,k,t,value with --t)"
+        )
 
-    if args.algo == "all":
-        algos = list(theta.ALGORITHMS.items())
-    elif args.algo == "oracle":
-        algos = [("oracle", None)]
+    if args.algo == "oracle":
+        budget = _resolve_budget(args)
+        algos = [("oracle", lambda n, k: oracle.theta_bruteforce(seq, n, k, budget=budget))]
     else:
-        algos = [(args.algo, theta.ALGORITHMS[args.algo])]
-
-    def polys_for(n, k):
-        out = []
-        for name, fn in algos:
-            if fn is None:
-                out.append((name, oracle.theta_bruteforce(seq, n, k, budget=budget)))
-            else:
-                out.append((name, fn(seq, n, k).poly))
-        return out
+        algos = [(name, lambda n, k, fn=fn: fn(seq, n, k).poly)
+                 for name, fn in theta.ALGORITHMS.items()
+                 if show_agree or name == args.algo]
 
     config = {
         "weights": seq.config(),
@@ -159,67 +163,34 @@ def _theta_table(args):
         "t": [format_rational(t) for t in t_values],
         "precision": args.precision,
     }
-
-    if args.format == "csv":
-        if args.algo == "all":
-            raise UsageError(
-                "--algo all has no CSV rendering; the CSV schema is "
-                "n,k,coeff_index,value (or n,k,t,value with --t)"
-            )
-        rows = []
-        if t_values:
-            columns = ("n", "k", "t", "value")
-            for n in ns:
-                for k in ks:
-                    poly = polys_for(n, k)[0][1]
-                    for t0 in t_values:
-                        rows.append({"n": n, "k": k, "t": format_rational(t0),
-                                     "value": format_rational(poly(t0))})
-        else:
-            columns = ("n", "k", "coeff_index", "value")
-            for n in ns:
-                for k in ks:
-                    poly = polys_for(n, k)[0][1]
-                    for i, c in enumerate(poly.coeffs):
-                        rows.append({"n": n, "k": k, "coeff_index": i,
-                                     "value": format_rational(c)})
-        return config, columns, rows, True
+    value_col = "values" if t_values else "coefficients"
+    if as_csv:
+        key_col = "t" if t_values else "coeff_index"
+        columns = ("n", "k", key_col, "value")
+    else:
+        columns = ("n", "k", "algo") + (("agree",) if show_agree else ()) + (value_col,)
 
     rows = []
-    agree_all = True
-    show_agree = args.algo == "all"
     for n in ns:
         for k in ks:
-            results = polys_for(n, k)
+            results = [(name, poly_of(n, k)) for name, poly_of in algos]
             agree = all(p == results[0][1] for _, p in results)
-            agree_all = agree_all and agree
             for name, poly in results:
+                if t_values:
+                    cells = [(t, format_rational(poly(t0)))
+                             for t, t0 in zip(config["t"], t_values)]
+                else:
+                    cells = [(i, format_rational(c)) for i, c in enumerate(poly.coeffs)]
+                if as_csv:
+                    rows.extend({"n": n, "k": k, key_col: key, "value": value}
+                                for key, value in cells)
+                    continue
                 row = {"n": n, "k": k, "algo": name}
                 if show_agree:
                     row["agree"] = "yes" if agree else "no"
-                if t_values:
-                    row["values"] = [format_rational(poly(t0)) for t0 in t_values]
-                else:
-                    row["coefficients"] = [format_rational(c) for c in poly.coeffs]
+                row[value_col] = [value for _, value in cells]
                 rows.append(row)
-    value_col = "values" if t_values else "coefficients"
-    columns = ("n", "k", "algo", "agree", value_col) if show_agree else \
-              ("n", "k", "algo", value_col)
-    return config, columns, rows, agree_all
-
-
-def cmd_theta(args) -> int:
-    config, columns, rows, agree = _theta_table(args)
-    if args.format == "table":
-        shown = [dict(r) for r in rows]
-        for r in shown:
-            for key in ("coefficients", "values"):
-                if key in r:
-                    r[key] = "[" + ", ".join(r[key]) + "]"
-        sys.stdout.write(_emit_table(columns, shown))
-    else:
-        sys.stdout.write(_render(args.format, "theta", config, columns, rows))
-    return 0 if agree else 1
+    return config, columns, rows
 
 
 def _pmf_table(args):
@@ -245,12 +216,6 @@ def _pmf_table(args):
                     "approx": _fmt_float(float(p), args.precision),
                 })
     return config, columns, rows
-
-
-def cmd_pmf(args) -> int:
-    config, columns, rows = _pmf_table(args)
-    sys.stdout.write(_render(args.format, "pmf", config, columns, rows))
-    return 0
 
 
 def _moments_table(args):
@@ -280,12 +245,6 @@ def _moments_table(args):
                 row[col] = format_rational(rep.factorial_moments[s - 1])
             rows.append(row)
     return config, columns, rows
-
-
-def cmd_moments(args) -> int:
-    config, columns, rows = _moments_table(args)
-    sys.stdout.write(_render(args.format, "moments", config, columns, rows))
-    return 0
 
 
 def cmd_verify(args) -> int:
@@ -339,12 +298,6 @@ def _limits_table(args):
     return config, columns, rows
 
 
-def cmd_limits(args) -> int:
-    config, columns, rows = _limits_table(args)
-    sys.stdout.write(_render(args.format, "limits", config, columns, rows))
-    return 0
-
-
 def _partitions_table(args):
     try:
         n = int(args.n) if args.n is not None else 0
@@ -362,14 +315,8 @@ def _partitions_table(args):
     return config, columns, rows
 
 
-def cmd_partitions(args) -> int:
-    config, columns, rows = _partitions_table(args)
-    sys.stdout.write(_render(args.format, "partitions", config, columns, rows))
-    return 0
-
-
-_EXPORT_BUILDERS = {
-    "theta": lambda args: _theta_table(args)[:3],
+_BUILDERS = {
+    "theta": _theta_table,
     "pmf": _pmf_table,
     "moments": _moments_table,
     "limits": _limits_table,
@@ -377,9 +324,19 @@ _EXPORT_BUILDERS = {
 }
 
 
+def _status(rows) -> int:
+    """1 when an --algo all row records disagreement, else 0."""
+    return 1 if any(row.get("agree") == "no" for row in rows) else 0
+
+
+def cmd_table(args) -> int:
+    config, columns, rows = _BUILDERS[args.command](args)
+    sys.stdout.write(_render(args.format, args.command, config, columns, rows))
+    return _status(rows)
+
+
 def cmd_export(args) -> int:
-    builder = _EXPORT_BUILDERS[args.table]
-    config, columns, rows = builder(args)
+    config, columns, rows = _BUILDERS[args.table](args)
     text = _emit_json(args.table, config, rows) if args.format == "json" \
         else _emit_csv(columns, rows)
     try:
@@ -389,7 +346,7 @@ def cmd_export(args) -> int:
         print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(f"wrote {len(rows)} rows to {args.out}\n")
-    return 0
+    return _status(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="polynomial coefficient tables")
     _add_theta_flags(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_theta)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("pmf", help="law of the adjacency statistic")
     _add_weight_flags(p)
     _add_common(p)
-    p.set_defaults(handler=cmd_pmf)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("moments", help="exact moments of the adjacency statistic")
     _add_weight_flags(p)
     p.add_argument("--smax", type=int, default=2,
                    help="highest factorial moment")
     _add_common(p)
-    p.set_defaults(handler=cmd_moments)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("verify", help="run a named self-check suite")
     p.add_argument("--suite", default="all",
@@ -458,17 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma-separated parameter grid (single regime only)")
     _add_common(p)
-    p.set_defaults(handler=cmd_limits)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("partitions", help="partition counts with bounded parts")
     p.add_argument("--n", type=int, required=True, help="largest allowed part")
     p.add_argument("--limit", type=int, default=None,
                    help="highest index of the series (default n)")
     _add_common(p)
-    p.set_defaults(handler=cmd_partitions)
+    p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("export", help="write a table to a JSON or CSV file")
-    p.add_argument("--table", required=True, choices=sorted(_EXPORT_BUILDERS))
+    p.add_argument("--table", required=True, choices=sorted(_BUILDERS))
     _add_theta_flags(p, required=False)
     p.add_argument("--smax", type=int, default=2)
     p.add_argument("--regime", default="all",

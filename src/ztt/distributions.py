@@ -22,8 +22,10 @@ from .exact import Poly, binomial, falling_factorial, harmonic
 from .oracle import compositions
 from .theta import (
     GradedValue,
+    _validate_nk,
     multiple_harmonic,
     theta_infinite_zeta,
+    theta_multi_eval,
     theta_newton,
     zeta_star_ones,
 )
@@ -185,23 +187,16 @@ def pmf_moments(pmf: Pmf, s_max: int = 2) -> MomentReport:
     return _fms_to_report(fms, s_max)
 
 
-def _validate_nk(n: int, k: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"needs n >= 1, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"needs k >= 1, got {k!r}")
-
-
 def s_pmf(seq: WeightSequence, n: int, k: int) -> Pmf:
     """Law of the adjacency count: normalized coefficients of theta_{n;k}."""
-    _validate_nk(n, k)
+    _validate_nk(n, k, kmin=1)
     poly = theta_newton(seq, n, k).poly
     return pmf_from_masses(0, poly.coeffs)
 
 
 def moments(seq: WeightSequence, n: int, k: int, s_max: int = 2) -> MomentReport:
     """Factorial moments from derivatives of theta at t=1, exactly."""
-    _validate_nk(n, k)
+    _validate_nk(n, k, kmin=1)
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     poly = theta_newton(seq, n, k).poly
@@ -220,7 +215,7 @@ def multiset_sigma_closed_moments(n: int, k: int, s_max: int = 2) -> MomentRepor
     mean = k(k-1)/(n+k-1), fm_s = (k-1)_s (k)_s / (n+k-1)_s, and for n+k > 2
     variance = k(k-1) n(n-1) / ((n+k-1)^2 (n+k-2)).
     """
-    _validate_nk(n, k)
+    _validate_nk(n, k, kmin=1)
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     mean = Fraction(k * (k - 1), n + k - 1)
@@ -330,42 +325,18 @@ def marginal_p0_variant(n: int, k: int) -> Fraction:
                     binomial(n + k - 1, k))
 
 
-def _series_mul(a: list, b: list, order: int) -> list:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(min(len(b), order + 1 - i)):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return out
-
-
 def marginal_zeta_pgf(n: int, k: int, i: int, t0) -> Fraction:
     """E(t0^{sigma^(i)}) for reciprocal weights 1/m, m = 1..n.
 
-    Coefficient extraction from
-        (1 - z/i) (1 + sum_{j>=1} (z/i)^j t0^(j-1)) prod_m (1 - z/m)^-1
-    at z^k, normalized by the t=1 endpoint value.
+    The refined sum with t_i = t0 and every other t_m = 1, normalized by the
+    t=1 endpoint value.
     """
-    _validate_nk(n, k)
+    _validate_nk(n, k, kmin=1)
     if not 1 <= i <= n:
         raise ValueError("tracked value i must satisfy 1 <= i <= n")
-    t0 = Fraction(t0)
-    inv_i = Fraction(1, i)
-    run = [Fraction(1)] + [Fraction(0)] * k
-    block = [Fraction(1)]
-    coef = inv_i
-    for j in range(1, k + 1):
-        block.append(coef)  # (1/i)^j t0^(j-1)
-        coef *= inv_i * t0
-    run = _series_mul(run, block, k)
-    run = _series_mul(run, [Fraction(1), -inv_i], k)
-    for m in range(1, n + 1):
-        inv_m = Fraction(1, m)
-        geo = [inv_m**r for r in range(k + 1)]
-        run = _series_mul(run, geo, k)
-    return run[k] / zeta_star_ones(n, k)
+    tvec = [Fraction(1)] * n
+    tvec[i - 1] = t0
+    return theta_multi_eval(ZetaWeights(1), n, k, tvec) / zeta_star_ones(n, k)
 
 
 def bernoulli_sum_pmf(ps: Sequence) -> Pmf:
@@ -561,7 +532,7 @@ def expected_sigma_zeta(n: int, k: int) -> Fraction:
 
         [sum_{l=0}^{k-2} H_n^(l+2) zeta*_n({1}_{k-l-2})] / zeta*_n({1}_k).
     """
-    _validate_nk(n, k)
+    _validate_nk(n, k, kmin=1)
     num = Fraction(0)
     for l in range(k - 1):
         num += harmonic(n, l + 2) * zeta_star_ones(n, k - l - 2)

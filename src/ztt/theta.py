@@ -44,6 +44,7 @@ from .exact import (
 )
 from .oracle import compositions
 from .weights import (
+    QModifiedWeights,
     WeightSequence,
     ZetaWeights,
     has_distinct_terms,
@@ -98,26 +99,37 @@ class ThetaPoly:
         return self.poly.coeffs
 
 
-def _validate_nk(n: int, k: int) -> None:
+def _validate_nk(n: int, k: int, kmin: int = 0) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"needs n >= 1, got {n!r}")
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"needs k >= 0, got {k!r}")
+    if not isinstance(k, int) or k < kmin:
+        raise ValueError(f"needs k >= {kmin}, got {k!r}")
+
+
+def _alpha(pj, j: int) -> Poly:
+    """alpha_j(t) = p_j * (t^j - (t-1)^j) for the j-th power sum p_j.
+
+    Expanding the binomial, the coefficient of t^i is C(j, i) * (-1)^(j-i+1)
+    for i < j; the t^j terms cancel so the degree is j - 1.
+    """
+    return Poly([pj * (binomial(j, i) * (-1) ** (j - i + 1)) for i in range(j)])
 
 
 def _alpha_polys(seq: WeightSequence, n: int, kmax: int) -> list:
-    """alpha_j(t) = (sum_m a_m^j) * (t^j - (t-1)^j) for j = 1..kmax.
+    """alpha_1..alpha_kmax of a_1..a_n; index 0 is unused."""
+    return [None] + [_alpha(power_sum(seq, n, j), j) for j in range(1, kmax + 1)]
 
-    Index 0 is unused.  Expanding the binomial, the coefficient of t^i is
-    C(j, i) * (-1)^(j-i+1) for i < j; the t^j terms cancel so the degree
-    is j - 1.
-    """
-    out: list = [None]
-    for j in range(1, kmax + 1):
-        aj = power_sum(seq, n, j)
-        coeffs = [aj * binomial(j, i) * ((-1) ** (j - i + 1)) for i in range(j)]
-        out.append(Poly(coeffs))
-    return out
+
+def _newton_ladder(alpha: list, k: int, one) -> list[Poly]:
+    """theta_0..theta_k from i * theta_i = sum_{j=1}^{i} alpha_j * theta_{i-j},
+    over the coefficient ring of alpha, whose unit is one."""
+    ladder = [Poly.constant(one)]
+    for i in range(1, k + 1):
+        acc = Poly.zero()
+        for j in range(1, i + 1):
+            acc = acc + alpha[j] * ladder[i - j]
+        ladder.append(acc * Fraction(1, i))
+    return ladder
 
 
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
@@ -126,16 +138,13 @@ def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
     The log derivative of the product generating function gives
 
         i * theta_i = sum_{j=1}^{i} alpha_j(t) * theta_{i-j}.
+
+    That is k(k+1)/2 polynomial products after k power sums: about k^4/24
+    rational multiplications for large k, on operands whose size keeps
+    growing with i.
     """
     _validate_nk(n, k)
-    alpha = _alpha_polys(seq, n, k)
-    ladder = [Poly.one()]
-    for i in range(1, k + 1):
-        acc = Poly.zero()
-        for j in range(1, i + 1):
-            acc = acc + alpha[j] * ladder[i - j]
-        ladder.append(acc * Fraction(1, i))
-    return ladder
+    return _newton_ladder(_alpha_polys(seq, n, k), k, Fraction(1))
 
 
 def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -314,15 +323,7 @@ def zeta_star_ones(n: int, k: int) -> Fraction:
     Equals h_k(1, 1/2, ..., 1/n), the weakly decreasing analogue of
     multiple_harmonic(n, (1,)*k).
     """
-    if n < 0 or k < 0:
-        raise ValueError("zeta_star_ones needs n, k >= 0")
-    hs = [Fraction(0)] * (k + 1)
-    hs[0] = Fraction(1)
-    for m in range(1, n + 1):
-        a = Fraction(1, m)
-        for j in range(1, k + 1):
-            hs[j] += a * hs[j - 1]
-    return hs[k]
+    return complete_homogeneous(ZetaWeights(1), n, k)[k]
 
 
 def zeta_t_ones(n: int, k: int, t0) -> Fraction:
@@ -435,25 +436,14 @@ def theta_qt(seq: WeightSequence, n: int, k: int, q) -> ThetaPoly:
     """theta with every weight a_m scaled by q**m, as a polynomial in t.
 
     Tracks the size statistic p(m) = sum of entries through the substitution
-    a_m -> a_m q^m; built directly from the scaled factors rather than
-    through a wrapped weight sequence so the two routes cross-check.
+    a_m -> a_m q^m: theta_product over QModifiedWeights(seq, q).  The
+    brute-force oracle's q refinement checks it independently.
     """
     _validate_nk(n, k)
     q = Fraction(q)
     if q <= 0:
         raise ValueError("theta_qt needs q > 0")
-    acc = Series.one(k)
-    qpow = Fraction(1)
-    for m in range(1, n + 1):
-        qpow *= q
-        b = weight_at(seq, m) * qpow
-        coeffs = [Poly.one()]
-        bpow = Fraction(1)
-        for j in range(1, k + 1):
-            bpow *= b
-            coeffs.append(Poly.monomial(bpow, j - 1))
-        acc = acc * Series(k, coeffs)
-    return ThetaPoly(n, k, seq, acc.coefficient(k))
+    return ThetaPoly(n, k, seq, theta_product(QModifiedWeights(seq, q), n, k).poly)
 
 
 def partition_series(n: int, limit: int) -> tuple[int, ...]:
@@ -581,22 +571,9 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
         raise ValueError("theta_infinite_zeta supports even integer m >= 2 only")
     if not isinstance(k, int) or k < 0:
         raise ValueError("theta_infinite_zeta needs k >= 0")
-    one = GradedValue(0, 1)
-    ladder = [Poly((one,))]
-    alphas: list = [None]
-    for j in range(1, k + 1):
-        w = m * j // 2
-        z = zeta_even_coeff(w)
-        coeffs = [
-            GradedValue(w, z * binomial(j, i) * ((-1) ** (j - i + 1))) for i in range(j)
-        ]
-        alphas.append(Poly(coeffs))
-    for i in range(1, k + 1):
-        acc = Poly.zero()
-        for j in range(1, i + 1):
-            acc = acc + alphas[j] * ladder[i - j]
-        ladder.append(acc * Fraction(1, i))
-    result = ladder[k]
+    alpha = [None] + [_alpha(GradedValue(m * j // 2, zeta_even_coeff(m * j // 2)), j)
+                      for j in range(1, k + 1)]
+    result = _newton_ladder(alpha, k, GradedValue(0, 1))[k]
     if t0 is None:
         return result
     value = result(Fraction(t0))

@@ -217,7 +217,7 @@ def _check_q_refinement(max_n: int, max_k: int):
             for n in range(1, min(max_n, 5) + 1):
                 for k in range(0, min(max_k, 5) + 1):
                     lhs = theta.theta_qt(base, n, k, q).poly
-                    rhs = theta.theta_product(wrapped, n, k).poly
+                    rhs = theta.theta_newton(wrapped, n, k).poly
                     if lhs != rhs:
                         return (f"q-refined theta differs from modified weights "
                                 f"at base={base_label} q={q} n={n} k={k}")
@@ -370,7 +370,7 @@ def _check_sum_theorem(max_k: int):
 
 def suite_sumtheorem(max_k: int = 20, **_ignored):
     return [_run("sum-splitting law and Bernstein form",
-                 lambda: _check_sum_theorem(max_k))]
+                 lambda: _check_sum_theorem(max(max_k, 12)))]
 
 
 def _check_scan(regime: str, grid=None, final_below=None):
@@ -413,18 +413,9 @@ SUITES = {
 
 def run_suite(name: str, max_n: int = 8, max_k: int = 8, budget=None):
     """Run one named suite, or every suite for name 'all'."""
-    if name == "all":
-        out = []
-        for key in ("identities", "marginals", "sumtheorem", "limits"):
-            out.extend(run_suite(key, max_n=max_n, max_k=max_k, budget=budget))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          + ", ".join(sorted(SUITES)) + ", all")
-    if name == "identities":
-        return suite_identities(max_n=max_n, max_k=max_k, budget=budget)
-    if name == "marginals":
-        return suite_marginals(max_n=max_n, max_k=max_k, budget=budget)
-    if name == "sumtheorem":
-        return suite_sumtheorem(max_k=max(max_k, 12))
-    return suite_limits()
+    names = SUITES if name == "all" else (name,)
+    return [result for key in names
+            for result in SUITES[key](max_n=max_n, max_k=max_k, budget=budget)]

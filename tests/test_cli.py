@@ -268,3 +268,32 @@ def test_export_precision_rendering(tmp_path, capsys):
                      str(out_path), "--format", "csv")
     assert code == 0
     assert "0.500" in out_path.read_text()
+
+
+def test_malformed_budget_env_only_affects_oracle(capsys, monkeypatch):
+    monkeypatch.setenv("ZTT_BUDGET", "abc")
+    code, out, _ = run(capsys, "theta", "--n", "3", "--k", "2")
+    assert code == 0
+    assert "[3, 3]" in out
+    code, _, err = run(capsys, "theta", "--n", "3", "--k", "2", "--algo", "oracle")
+    assert code == 2
+    assert "ZTT_BUDGET" in err
+
+
+def test_export_algo_all_reports_disagreement(tmp_path, capsys, monkeypatch):
+    from ztt import theta
+    from ztt.exact import Poly
+
+    def wrong(seq, n, k):
+        tp = theta.theta_newton(seq, n, k)
+        return theta.ThetaPoly(n, k, seq, tp.poly + Poly.one())
+
+    monkeypatch.setitem(theta.ALGORITHMS, "det", wrong)
+    code, _, _ = run(capsys, "theta", "--n", "3", "--k", "2", "--algo", "all")
+    assert code == 1
+    out_path = tmp_path / "theta.json"
+    code, _, _ = run(capsys, "export", "--table", "theta", "--n", "3", "--k", "2",
+                     "--algo", "all", "--out", str(out_path), "--format", "json")
+    assert code == 1
+    rows = json.loads(out_path.read_text())["rows"]
+    assert {row["agree"] for row in rows} == {"no"}

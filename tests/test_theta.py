@@ -173,7 +173,7 @@ def test_qt_refinement():
         for n in range(1, 5):
             for k in range(0, 5):
                 direct = theta_qt(seq, n, k, q).poly
-                wrapped = theta_product(QModifiedWeights(seq, q), n, k).poly
+                wrapped = theta_newton(QModifiedWeights(seq, q), n, k).poly
                 assert direct == wrapped
     assert theta_qt(seq, 2, 2, F(1, 2)).poly == Poly([F(1, 8), F(5, 16)])
     with pytest.raises(ValueError):
