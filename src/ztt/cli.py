@@ -73,11 +73,6 @@ def _check_index_range(seq: WeightSequence, n_values) -> None:
         )
 
 
-def _resolve_budget(args) -> int:
-    flag = getattr(args, "budget", None)
-    return flag if flag is not None else oracle.oracle_budget()
-
-
 def _fmt_float(x: float, precision: int) -> str:
     return f"{x:.{precision}f}"
 
@@ -148,7 +143,7 @@ def _theta_table(args):
         )
 
     if args.algo == "oracle":
-        budget = _resolve_budget(args)
+        budget = oracle.oracle_budget(args.budget)
         algos = [("oracle", lambda n, k: oracle.theta_bruteforce(seq, n, k, budget=budget))]
     else:
         algos = [(name, lambda n, k, fn=fn: fn(seq, n, k).poly)
@@ -248,7 +243,7 @@ def _moments_table(args):
 
 
 def cmd_verify(args) -> int:
-    budget = _resolve_budget(args)
+    budget = oracle.oracle_budget(args.budget)
     results = verify.run_suite(args.suite, max_n=args.max_n, max_k=args.max_k,
                                budget=budget)
     config = {"suite": args.suite, "max_n": args.max_n, "max_k": args.max_k}

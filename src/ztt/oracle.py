@@ -38,18 +38,31 @@ class BudgetExceededError(RuntimeError):
     """Enumeration refused because the multiset count exceeds the budget."""
 
 
-def oracle_budget() -> int:
-    """Default enumeration budget; the ZTT_BUDGET env var overrides it."""
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
+def oracle_budget(flag: int | None = None) -> int:
+    """Enumeration budget: flag if given, else the ZTT_BUDGET env var, else
+    the default.  Either source below 1 is refused with a ValueError."""
+    if flag is not None:
+        source, value = "budget", flag
+    else:
+        raw = os.environ.get(_BUDGET_ENV)
+        if raw is None:
+            return DEFAULT_BUDGET
+        try:
+            source, value = _BUDGET_ENV, int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from exc
     if value < 1:
-        raise ValueError(f"{_BUDGET_ENV} must be >= 1, got {value}")
+        raise ValueError(f"{source} must be >= 1, got {value}")
     return value
+
+
+def _check_budget(n: int, k: int, budget: int | None) -> None:
+    cap = oracle_budget(budget)
+    size = count_multisets(n, k)
+    if size > cap:
+        raise BudgetExceededError(
+            f"{size} multisets for n={n}, k={k} exceed the enumeration budget {cap}"
+        )
 
 
 def count_multisets(n: int, k: int) -> int:
@@ -151,12 +164,7 @@ def theta_bruteforce(
         raise ValueError("theta_bruteforce needs n >= 1 and k >= 0")
     if tvec is not None and q is not None:
         raise ValueError("tvec and q refinements are mutually exclusive")
-    cap = oracle_budget() if budget is None else budget
-    size = count_multisets(n, k)
-    if size > cap:
-        raise BudgetExceededError(
-            f"{size} multisets for n={n}, k={k} exceed the enumeration budget {cap}"
-        )
+    _check_budget(n, k, budget)
     terms = [weight_at(seq, m) for m in range(1, n + 1)]
 
     if tvec is not None:
@@ -201,12 +209,7 @@ def theta_marginal_bruteforce(
         raise ValueError("theta_marginal_bruteforce needs n >= 1 and k >= 0")
     if not 1 <= i <= n:
         raise ValueError("tracked value i must satisfy 1 <= i <= n")
-    cap = oracle_budget() if budget is None else budget
-    size = count_multisets(n, k)
-    if size > cap:
-        raise BudgetExceededError(
-            f"{size} multisets for n={n}, k={k} exceed the enumeration budget {cap}"
-        )
+    _check_budget(n, k, budget)
     terms = [weight_at(seq, m) for m in range(1, n + 1)]
     coeffs = [Fraction(0)] * max(k, 1)
     for ms in enumerate_multisets(n, k):

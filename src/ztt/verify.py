@@ -6,6 +6,9 @@ sum-splitting law with its Bernstein form, and the limit-regime distance
 scans.  Every check returns a CheckResult instead of raising, so a run
 always produces a full report; any exception inside a check is converted
 into a failure carrying the message.
+
+Each check takes its grid as arguments and returns None or a detail naming
+the failing point; the suites pass the CLI sizes, the acceptance tests larger.
 """
 
 from __future__ import annotations
@@ -55,6 +58,19 @@ def _run(name: str, fn) -> CheckResult:
     return CheckResult(name, False, detail)
 
 
+def random_customs(seed: int, count: int, size: int, hi: int):
+    """count labelled custom sequences, each of size distinct values a/b with
+    1 <= a, b <= hi, drawn in a fixed order from random.Random(seed)."""
+    rng = random.Random(seed)
+    seqs = []
+    for idx in range(count):
+        vals = set()
+        while len(vals) < size:
+            vals.add(Fraction(rng.randint(1, hi), rng.randint(1, hi)))
+        seqs.append((f"custom#{idx}", CustomWeights(tuple(sorted(vals)))))
+    return seqs
+
+
 def _check_five_way(max_n: int, max_k: int):
     algos = tuple(theta.ALGORITHMS.items())
     for label, seq in BUILTIN_WEIGHTS:
@@ -69,17 +85,10 @@ def _check_five_way(max_n: int, max_k: int):
     return None
 
 
-def _check_partial_fraction(max_n: int, max_k: int):
-    rng = random.Random(74207281)
-    seqs = [("zeta:1", ZetaWeights(1)), ("linear", LinearWeights())]
-    for idx in range(2):
-        vals = set()
-        while len(vals) < max_n:
-            vals.add(Fraction(rng.randint(1, 60), rng.randint(1, 60)))
-        seqs.append((f"custom#{idx}", CustomWeights(tuple(sorted(vals)))))
+def _check_partial_fraction(seqs, max_n: int, max_k: int):
     points = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2))
     for label, seq in seqs:
-        for n in range(2, max_n + 1):
+        for n in range(1, max_n + 1):
             for k in range(1, max_k + 1):
                 poly = theta.theta_newton(seq, n, k).poly
                 for t0 in points:
@@ -91,34 +100,40 @@ def _check_partial_fraction(max_n: int, max_k: int):
     return None
 
 
-def _check_oracle(max_n: int, max_k: int, budget):
-    rng = random.Random(43112609)
+def _check_oracle(max_n: int, max_k: int, budget=None):
     for label, seq in BUILTIN_WEIGHTS:
         for n in range(1, max_n + 1):
             for k in range(0, max_k + 1):
                 brute = oracle.theta_bruteforce(seq, n, k, budget=budget)
-                fast = theta.theta_product(seq, n, k).poly
-                if brute != fast:
+                if brute != theta.theta_product(seq, n, k).poly:
                     return f"oracle mismatch at weights={label} n={n} k={k}"
-    probe_n, probe_k = min(4, max_n), min(4, max_k)
-    seq = ZetaWeights(1)
-    for _ in range(3):
-        tvec = tuple(Fraction(rng.randint(0, 8), rng.randint(1, 8))
-                     for _ in range(probe_n))
-        brute = oracle.theta_bruteforce(seq, probe_n, probe_k, tvec=tvec,
-                                        budget=budget)
-        fast = theta.theta_multi_eval(seq, probe_n, probe_k, tvec)
-        if brute != fast:
-            return f"multi-t oracle mismatch at tvec={tvec}"
-    for q in (Fraction(1, 2), Fraction(1)):
-        brute = oracle.theta_bruteforce(seq, probe_n, probe_k, q=q, budget=budget)
-        fast = theta.theta_qt(seq, probe_n, probe_k, q).poly
-        if brute != fast:
-            return f"q-refined oracle mismatch at q={q}"
     return None
 
 
-def _check_specializations(max_n: int, max_k: int):
+def _check_oracle_tvec(points, seed: int, hi: int, budget=None):
+    rng = random.Random(seed)
+    seq = ZetaWeights(1)
+    for n, k in points:
+        tvec = tuple(Fraction(rng.randint(0, hi), rng.randint(1, hi))
+                     for _ in range(n))
+        brute = oracle.theta_bruteforce(seq, n, k, tvec=tvec, budget=budget)
+        if brute != theta.theta_multi_eval(seq, n, k, tvec):
+            return f"multi-t oracle mismatch at n={n} k={k} tvec={tvec}"
+    return None
+
+
+def _check_oracle_q(bases, points, budget=None):
+    for q in (Fraction(1, 2), Fraction(1)):
+        for label, seq in bases:
+            for n, k in points:
+                brute = oracle.theta_bruteforce(seq, n, k, q=q, budget=budget)
+                if brute != theta.theta_qt(seq, n, k, q).poly:
+                    return (f"q-refined oracle mismatch at weights={label} "
+                            f"q={q} n={n} k={k}")
+    return None
+
+
+def _check_specializations(max_n: int, max_k: int, lin_n: int, lin_k: int):
     ones = OnesWeights()
     for n in range(1, max_n + 1):
         ladder = theta.theta_newton_ladder(ones, n, max_k)
@@ -128,10 +143,9 @@ def _check_specializations(max_n: int, max_k: int):
             if ladder[k](Fraction(1)) != binomial(n + k - 1, k):
                 return f"ones endpoint at t=1 off at n={n} k={k}"
     lin = LinearWeights()
-    cap_n, cap_k = min(max_n, 12), min(max_k, 12)
-    for n in range(1, cap_n + 1):
-        ladder = theta.theta_newton_ladder(lin, n, cap_k)
-        for k in range(0, cap_k + 1):
+    for n in range(1, lin_n + 1):
+        ladder = theta.theta_newton_ladder(lin, n, lin_k)
+        for k in range(0, lin_k + 1):
             if ladder[k](Fraction(0)) != stirling_first_unsigned(n + 1, n + 1 - k):
                 return f"linear endpoint at t=0 off at n={n} k={k}"
             if ladder[k](Fraction(1)) != stirling_second(n + k, n):
@@ -141,8 +155,8 @@ def _check_specializations(max_n: int, max_k: int):
 
 def _check_bivariate(max_n: int, max_k: int):
     ones = OnesWeights()
-    for n in range(1, min(max_n, 10) + 1):
-        for k in range(0, min(max_k, 10) + 1):
+    for n in range(1, max_n + 1):
+        for k in range(0, max_k + 1):
             if theta.closed_form_ones_bivariate(n, k) != theta.theta_product(ones, n, k).poly:
                 return f"bivariate closed form off at n={n} k={k}"
     return None
@@ -164,7 +178,7 @@ def _check_zeta_values(max_n: int, max_k: int):
 
 def _check_expected_sigma(max_n: int, max_k: int):
     for n in range(1, max_n + 1):
-        for k in range(2, max_k + 1):
+        for k in range(1, max_k + 1):
             lhs = dist.expected_sigma_zeta(n, k)
             rhs = dist.moments(ZetaWeights(1), n, k, 1).mean
             if lhs != rhs:
@@ -172,13 +186,13 @@ def _check_expected_sigma(max_n: int, max_k: int):
     return None
 
 
-def _check_ordered_partitions(max_n: int, max_k: int):
-    for k in range(1, 11):
+def _check_ordered_partitions(count_k: int, max_n: int, max_k: int):
+    for k in range(1, count_k + 1):
         if len(list(oracle.compositions(k))) != 2 ** (k - 1):
             return f"composition count off at k={k}"
     for m in (1, 2):
-        for n in range(1, min(max_n, 8) + 1):
-            for k in range(1, min(max_k, 6) + 1):
+        for n in range(1, max_n + 1):
+            for k in range(1, max_k + 1):
                 lhs = theta.theta_ordered_partitions(m, n, k).poly
                 rhs = theta.theta_product(ZetaWeights(m), n, k).poly
                 if lhs != rhs:
@@ -214,8 +228,8 @@ def _check_q_refinement(max_n: int, max_k: int):
     for base_label, base in (("ones", OnesWeights()), ("zeta:1", ZetaWeights(1))):
         for q in (Fraction(1, 2), Fraction(2), Fraction(1)):
             wrapped = QModifiedWeights(base, q)
-            for n in range(1, min(max_n, 5) + 1):
-                for k in range(0, min(max_k, 5) + 1):
+            for n in range(1, max_n + 1):
+                for k in range(0, max_k + 1):
                     lhs = theta.theta_qt(base, n, k, q).poly
                     rhs = theta.theta_newton(wrapped, n, k).poly
                     if lhs != rhs:
@@ -243,36 +257,42 @@ def _check_multi_eval():
 
 
 def suite_identities(max_n: int = 8, max_k: int = 8, budget=None):
-    oracle_cap = min(max_n, 6)
+    cap_n, cap_k = min(max_n, 6), min(max_k, 6)
+    probe = (min(max_n, 4), min(max_k, 4))
     return [
         _run("five-way algorithm agreement",
              lambda: _check_five_way(max_n, max_k)),
         _run("partial-fraction evaluation",
-             lambda: _check_partial_fraction(min(max_n, 6), min(max_k, 6))),
+             lambda: _check_partial_fraction(
+                 [BUILTIN_WEIGHTS[2], BUILTIN_WEIGHTS[1],
+                  *random_customs(74207281, 2, cap_n, 60)], cap_n, cap_k)),
         _run("brute-force oracle agreement",
-             lambda: _check_oracle(oracle_cap, min(max_k, 6), budget)),
+             lambda: _check_oracle(cap_n, cap_k, budget)
+             or _check_oracle_tvec([probe] * 3, 43112609, 8, budget)
+             or _check_oracle_q(BUILTIN_WEIGHTS[2:3], [probe], budget)),
         _run("endpoint specializations (binomial/Stirling)",
-             lambda: _check_specializations(max_n, max_k)),
+             lambda: _check_specializations(max_n, max_k,
+                                            min(max_n, 12), min(max_k, 12))),
         _run("bivariate closed form (ones)",
-             lambda: _check_bivariate(max_n, max_k)),
+             lambda: _check_bivariate(min(max_n, 10), min(max_k, 10))),
         _run("reciprocal-weight value identities",
              lambda: _check_zeta_values(max_n, max_k)),
         _run("mean adjacency closed form",
              lambda: _check_expected_sigma(min(max_n, 8), min(max_k, 8))),
         _run("composition sum and count",
-             lambda: _check_ordered_partitions(max_n, max_k)),
+             lambda: _check_ordered_partitions(10, min(max_n, 8), min(max_k, 6))),
         _run("partition table", _check_partition_series),
         _run("graded infinite values", _check_infinite_graded),
         _run("q-refinement consistency",
-             lambda: _check_q_refinement(max_n, max_k)),
+             lambda: _check_q_refinement(min(max_n, 5), min(max_k, 5))),
         _run("multi-variable evaluation", _check_multi_eval),
     ]
 
 
-def _check_marginal_brute(max_n: int, max_k: int, budget):
+def _check_marginal_brute(max_n: int, max_k: int, budget=None):
     ones = OnesWeights()
-    for n in range(2, min(max_n, 6) + 1):
-        for k in range(1, min(max_k, 6) + 1):
+    for n in range(2, max_n + 1):
+        for k in range(1, max_k + 1):
             got = dist.marginal_pmf(n, k)
             brute = oracle.theta_marginal_bruteforce(ones, n, k, 1, budget=budget)
             want = dist.pmf_from_masses(0, brute.coeffs)
@@ -333,7 +353,7 @@ def _check_marginal_zeta(budget):
 def suite_marginals(max_n: int = 8, max_k: int = 8, budget=None):
     return [
         _run("marginal law versus enumeration",
-             lambda: _check_marginal_brute(max_n, max_k, budget)),
+             lambda: _check_marginal_brute(min(max_n, 6), min(max_k, 6), budget)),
         _run("marginal closed-form moments",
              lambda: _check_marginal_moments(min(max_n, 12), min(max_k, 12))),
         _run("marginal P{0} closed form and pinned divergent variant",
@@ -357,6 +377,12 @@ def _check_sum_theorem(max_k: int):
             for j in range(n):
                 if betas[j] * binomial(n - 1, j) != Fraction(binomial(k - 1, j), denom):
                     return f"Bezier coefficient identity off at n={n} k={k} j={j}"
+            # independent monomial-to-Bernstein conversion of the masses
+            for j in (0, n - 1):
+                conv = sum(Fraction(binomial(j, i), binomial(n - 1, i)) * pmf.probs[i]
+                           for i in range(j + 1))
+                if conv != betas[j]:
+                    return f"Bernstein conversion off at n={n} k={k} j={j}"
             refl = dist.sum_theorem_r_pmf(n, k)
             for i in range(1, n + 1):
                 if refl.mass(i) != pmf.mass(n - i):
@@ -412,10 +438,14 @@ SUITES = {
 
 
 def run_suite(name: str, max_n: int = 8, max_k: int = 8, budget=None):
-    """Run one named suite, or every suite for name 'all'."""
+    """Run one named suite, or every suite for name 'all'.  max_n >= 2 and
+    max_k >= 1 are required, so every sized check visits the point (2, 1)."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          + ", ".join(sorted(SUITES)) + ", all")
+    if max_n < 2 or max_k < 1:
+        raise ValueError(f"verify needs max_n >= 2 and max_k >= 1, "
+                         f"got max_n={max_n}, max_k={max_k}")
     names = SUITES if name == "all" else (name,)
     return [result for key in names
             for result in SUITES[key](max_n=max_n, max_k=max_k, budget=budget)]

@@ -2,72 +2,42 @@
 
 Each test prints "ACCEPTANCE NN <label>: PASS (x.xs)" (or FAIL) so a -s run
 reads as a checklist.  Checks 1, 2, and 7 also enforce wall-clock budgets.
+
+Every identity that `ztt verify` also checks runs through the same check
+function in `ztt.verify`, here at the committed sizes; each must return None.
 """
 
-import random
 import time
 from fractions import Fraction
-from math import comb, factorial, isqrt, pi, sqrt
+from functools import partial
+from math import factorial, isqrt, pi
 
 from ztt import distributions as dist
+from ztt import verify as V
 from ztt.distributions import (
-    bernstein_pgf,
-    bezier_coeffs,
     d_n_pmf,
-    expected_sigma_zeta,
     hypergeom_moments,
     hypergeom_pmf,
-    kolmogorov_distance_to_normal,
-    limit_scan,
-    marginal_mass,
-    marginal_moments,
-    marginal_p0_variant,
-    marginal_pmf,
     moments,
     multiset_sigma_closed_moments,
-    pmf_from_masses,
     pmf_moments,
     s_infinity_2_exact,
     s_infinity_2_pmf,
     s_pmf,
-    sum_theorem_pmf,
 )
-from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second
-from ztt.oracle import compositions, theta_bruteforce, theta_marginal_bruteforce
-from ztt.theta import (
-    ALGORITHMS,
-    GradedValue,
-    closed_form_ones_bivariate,
-    multiple_harmonic,
-    partition_series,
-    prodinger_half,
-    theta_infinite_zeta,
-    theta_multi_eval,
-    theta_newton,
-    theta_newton_ladder,
-    theta_ordered_partitions,
-    theta_partial_fraction,
-    theta_product,
-    theta_qt,
-    zeta_star_ones,
-    zeta_t_ones,
-)
-from ztt.weights import (
-    CustomWeights,
-    LinearWeights,
-    OnesWeights,
-    ZetaWeights,
-)
+from ztt.theta import multiple_harmonic, theta_infinite_zeta
+from ztt.weights import OnesWeights, ZetaWeights
 
 F = Fraction
-BUILTINS = (OnesWeights(), LinearWeights(), ZetaWeights(1), ZetaWeights(2))
 SEED = 20260817
 
 
-def _report(num, label, fn, time_limit=None):
+def _report(num, label, *checks, time_limit=None):
     t0 = time.perf_counter()
     try:
-        fn()
+        for check in checks:
+            detail = check()
+            assert detail is None, detail
     except BaseException:
         print(f"ACCEPTANCE {num:02d} {label}: FAIL "
               f"({time.perf_counter() - t0:.1f}s)")
@@ -79,95 +49,36 @@ def _report(num, label, fn, time_limit=None):
 
 
 def test_criterion_01_five_way_agreement():
-    def run():
-        algos = list(ALGORITHMS.values())
-        for seq in BUILTINS:
-            for n in range(1, 11):
-                for k in range(1, 11):
-                    ref = algos[0](seq, n, k).poly
-                    for fn in algos[1:]:
-                        assert fn(seq, n, k).poly == ref, (seq, n, k)
-        rng = random.Random(SEED)
-        points = (F(1, 3), F(1, 2), F(1), F(2))
-        for _ in range(5):
-            vals = set()
-            while len(vals) < 8:
-                vals.add(F(rng.randint(1, 99), rng.randint(1, 99)))
-            seq = CustomWeights(tuple(sorted(vals)))
-            for n in range(1, 9):
-                for k in range(1, 9):
-                    poly = theta_newton(seq, n, k).poly
-                    for t0 in points:
-                        assert theta_partial_fraction(seq, n, k, t0) == poly(t0)
-
-    _report(1, "five-way algorithm agreement", run, time_limit=60.0)
+    _report(1, "five-way algorithm agreement",
+            partial(V._check_five_way, 10, 10),
+            lambda: V._check_partial_fraction(V.random_customs(SEED, 5, 8, 99), 8, 8),
+            time_limit=60.0)
 
 
 def test_criterion_02_oracle_equivalence():
-    def run():
-        for seq in BUILTINS:
-            for n in range(1, 9):
-                for k in range(0, 9):
-                    assert theta_bruteforce(seq, n, k) == \
-                        theta_product(seq, n, k).poly, (seq, n, k)
-        rng = random.Random(SEED + 1)
-        seq = ZetaWeights(1)
-        for n, k in ((6, 6), (5, 7), (7, 5)):
-            tvec = tuple(F(rng.randint(0, 9), rng.randint(1, 9))
-                         for _ in range(n))
-            assert theta_bruteforce(seq, n, k, tvec=tvec) == \
-                theta_multi_eval(seq, n, k, tvec)
-        for q in (F(1, 2), F(1)):
-            for base in (OnesWeights(), ZetaWeights(1)):
-                for n in range(1, 7):
-                    for k in range(0, 7):
-                        assert theta_bruteforce(base, n, k, q=q) == \
-                            theta_qt(base, n, k, q).poly
-
-    _report(2, "brute-force oracle equivalence", run, time_limit=60.0)
+    bases = (("ones", OnesWeights()), ("zeta:1", ZetaWeights(1)))
+    grid = [(n, k) for n in range(1, 7) for k in range(0, 7)]
+    _report(2, "brute-force oracle equivalence",
+            partial(V._check_oracle, 8, 8),
+            partial(V._check_oracle_tvec, ((6, 6), (5, 7), (7, 5)), SEED + 1, 9),
+            partial(V._check_oracle_q, bases, grid),
+            time_limit=60.0)
 
 
 def test_criterion_03_specializations():
-    def run():
-        for n in range(1, 31):
-            ladder = theta_newton_ladder(OnesWeights(), n, 30)
-            for k in range(31):
-                assert ladder[k](F(0)) == binomial(n, k)
-                assert ladder[k](F(1)) == binomial(n + k - 1, k)
-        for n in range(1, 16):
-            ladder = theta_newton_ladder(LinearWeights(), n, 15)
-            for k in range(16):
-                assert ladder[k](F(0)) == stirling_first_unsigned(n + 1, n + 1 - k)
-                assert ladder[k](F(1)) == stirling_second(n + k, n)
-
-    _report(3, "binomial / multiset / Stirling specializations", run)
+    _report(3, "binomial / multiset / Stirling specializations",
+            partial(V._check_specializations, 30, 30, lin_n=15, lin_k=15))
 
 
 def test_criterion_04_bivariate_closed_form():
-    def run():
-        for n in range(1, 13):
-            for k in range(0, 13):
-                assert closed_form_ones_bivariate(n, k) == \
-                    theta_product(OnesWeights(), n, k).poly
-
-    _report(4, "closed bivariate form for unit weights", run)
+    _report(4, "closed bivariate form for unit weights",
+            partial(V._check_bivariate, 12, 12))
 
 
 def test_criterion_05_zeta_identity_suite():
-    def run():
-        for n in range(1, 26):
-            ladder = theta_newton_ladder(ZetaWeights(1), n, 10)
-            for k in range(1, 11):
-                assert zeta_t_ones(n, k, 1) == zeta_star_ones(n, k)
-                half = zeta_t_ones(n, k, F(1, 2))
-                assert half == prodinger_half(n, k)
-                assert half == ladder[k](F(1, 2))
-        for n in range(1, 13):
-            for k in range(1, 13):
-                assert expected_sigma_zeta(n, k) == \
-                    moments(ZetaWeights(1), n, k, 1).mean
-
-    _report(5, "reciprocal-weight value identities", run)
+    _report(5, "reciprocal-weight value identities",
+            partial(V._check_zeta_values, 25, 10),
+            partial(V._check_expected_sigma, 12, 12))
 
 
 def test_criterion_06_hypergeometric_law():
@@ -195,23 +106,15 @@ def test_criterion_07_poisson_regime():
         rep = multiset_sigma_closed_moments(n, k, 3)
         for fm in rep.factorial_moments:
             assert abs(fm - 1) <= F(2, 100), fm
-        rows = limit_scan("poisson_multiset", (100, 1000, 10000))
-        ds = [r.distance for r in rows]
-        assert ds[1] < ds[0] and ds[2] < ds[1], ds
 
-    _report(7, "Poisson regime moments and tv decay", run, time_limit=30.0)
+    _report(7, "Poisson regime moments and tv decay", run,
+            partial(V._check_scan, "poisson_multiset", (100, 1000, 10000)),
+            time_limit=30.0)
 
 
 def test_criterion_08_normal_regime():
-    def run():
-        n = k = 200
-        pmf = hypergeom_pmf(n + k - 1, k - 1, k)
-        rep = hypergeom_moments(n + k - 1, k - 1, k)
-        d = kolmogorov_distance_to_normal(pmf, rep.mean,
-                                          sqrt(float(rep.variance)))
-        assert d < 0.05, d
-
-    _report(8, "normal regime Kolmogorov distance", run)
+    _report(8, "normal regime Kolmogorov distance",
+            partial(V._check_scan, "normal_multiset", final_below=0.05))
 
 
 def test_criterion_09_block_count_identities():
@@ -221,12 +124,9 @@ def test_criterion_09_block_count_identities():
             for ell in range(1, n + 1):
                 want = multiple_harmonic(n - 1, (1,) * (ell - 1)) / n
                 assert law.mass(ell) == want
-        rows = limit_scan("dn_zeta1", (10, 20, 40))
-        ds = [r.distance for r in rows]
-        assert ds[1] < ds[0] and ds[2] < ds[1], ds
-        assert ds[2] < 0.01, ds
 
-    _report(9, "block-count law identities and tv decay", run)
+    _report(9, "block-count law identities and tv decay", run,
+            partial(V._check_scan, "dn_zeta1", (10, 20, 40), final_below=0.01))
 
 
 def test_criterion_10_squares_regime():
@@ -236,8 +136,6 @@ def test_criterion_10_squares_regime():
         assert approx.error_bound < 1e-8, approx.error_bound
         assert abs(approx.mass(0) - 3 / 7) < 1e-8
         assert abs(approx.mass(1) - 4 / 7) < 1e-8
-        assert theta_infinite_zeta(2, 2, 0) == GradedValue(2, F(1, 120))
-        assert theta_infinite_zeta(2, 2, 1) == GradedValue(2, F(7, 360))
         assert float(F(1, 120)) * pi**4 == theta_infinite_zeta(2, 2, 0).to_float()
         # factorial moments of the square-reciprocal block-count law equal
         # s! times the depth-s double-index truncated value at the SAME
@@ -252,68 +150,27 @@ def test_criterion_10_squares_regime():
         assert fm1 == F(49, 36)
         assert multiple_harmonic(2, (2,)) == F(5, 4) != fm1
 
-    _report(10, "squares regime law, graded values, moment identity", run)
+    _report(10, "squares regime law, graded values, moment identity",
+            V._check_infinite_graded, run)
 
 
 def test_criterion_11_marginals():
-    def run():
-        ones = OnesWeights()
-        for n in range(2, 9):
-            for k in range(1, 9):
-                brute = theta_marginal_bruteforce(ones, n, k, 1)
-                assert marginal_pmf(n, k) == pmf_from_masses(0, brute.coeffs)
-        for n in range(2, 13):
-            for k in range(1, 13):
-                assert marginal_moments(n, k, 3) == \
-                    pmf_moments(marginal_pmf(n, k), 3)
-        assert marginal_p0_variant(3, 2) == F(2, 3)
-        assert marginal_mass(3, 2, 0) == F(5, 6)
-        n = k = 400
-        for j in range(1, 6):
-            got = marginal_mass(n, k, j)
-            target = F(1, 2 ** (j + 2))  # c^(j+1)/(1+c)^(j+2) at c=1
-            assert abs(got / target - 1) <= F(5, 100), (j, got, target)
-
-    _report(11, "single-value marginal laws", run)
+    _report(11, "single-value marginal laws",
+            partial(V._check_marginal_brute, 8, 8),
+            partial(V._check_marginal_moments, 12, 12),
+            partial(V._check_marginal_p0, 12, 12),
+            partial(V._check_scan, "geometric_marginal", (400,), final_below=0.05))
 
 
 def test_criterion_12_sum_theorem():
-    def run():
-        for k in range(3, 41):
-            for n in range(2, k):
-                pmf = sum_theorem_pmf(n, k)
-                assert sum(pmf.probs) == 1
-                assert Poly(pmf.probs) == bernstein_pgf(n, k)
-                betas = bezier_coeffs(n, k)
-                for j in range(n):
-                    assert betas[j] == F(1, binomial(k - 1 - j, k - n))
-                # independent monomial-to-Bernstein conversion
-                for j in (0, n - 1):
-                    conv = sum(F(binomial(j, i), binomial(n - 1, i))
-                               * pmf.probs[i] for i in range(j + 1))
-                    assert conv == betas[j]
-        assert sum_theorem_pmf(3, 5).probs == (F(1, 6), F(1, 3), F(1, 2))
-
-    _report(12, "sum-splitting law and Bernstein form", run)
+    _report(12, "sum-splitting law and Bernstein form",
+            partial(V._check_sum_theorem, 40))
 
 
 def test_criterion_13_partition_series():
-    def run():
-        assert partition_series(20, 20) == (
-            1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176,
-            231, 297, 385, 490, 627)
-
-    _report(13, "partition number series", run)
+    _report(13, "partition number series", V._check_partition_series)
 
 
 def test_criterion_14_composition_bookkeeping():
-    def run():
-        for k in range(1, 13):
-            assert sum(1 for _ in compositions(k)) == 2 ** (k - 1)
-        for m in (1, 2):
-            for n in range(1, 11):
-                for k in range(1, 9):
-                    assert theta_ordered_partitions(m, n, k).poly == \
-                        theta_product(ZetaWeights(m), n, k).poly
-
-    _report(14, "composition bookkeeping", run)
+    _report(14, "composition bookkeeping",
+            partial(V._check_ordered_partitions, 12, 10, 8))

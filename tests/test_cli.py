@@ -1,9 +1,11 @@
 """Command-line surface: schemas, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
+from ztt import distributions, theta, verify
 from ztt.cli import main, parse_range, resolve_weights
 from ztt.weights import OnesWeights, ZetaWeights
 
@@ -184,6 +186,61 @@ def test_verify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["rows"][0]["result"] == "PASS"
+
+
+def test_verify_rejects_empty_grids(capsys):
+    # every sized loop would be empty, so a PASS here would be vacuous
+    for suite, max_n, max_k in (("marginals", "1", "0"), ("identities", "0", "4"),
+                                ("identities", "-3", "4"), ("sumtheorem", "4", "0")):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--max-n", max_n, "--max-k", max_k)
+        assert code == 2, (suite, max_n, max_k, out)
+        assert "max_n >= 2 and max_k >= 1" in err
+    code, out, _ = run(capsys, "verify", "--suite", "identities",
+                       "--max-n", "2", "--max-k", "1")
+    assert code == 0
+    assert "12/12 checks passed" in out
+
+
+def test_nonpositive_budget_flag_is_usage_error(capsys):
+    for argv in (("verify", "--suite", "marginals", "--max-n", "3", "--max-k", "3",
+                  "--budget", "-2"),
+                 ("theta", "--n", "3", "--k", "2", "--algo", "oracle", "--budget", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, (argv, out)
+        assert "budget must be >= 1" in err
+
+
+def _perturbed(fn):
+    def wrong(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        if isinstance(value, theta.ThetaPoly):
+            return dataclasses.replace(value, poly=value.poly + 1)
+        return value + 1
+    return wrong
+
+
+@pytest.mark.parametrize("module, subject, check, point", [
+    (theta, "theta_partial_fraction",
+     lambda: verify._check_partial_fraction(verify.random_customs(1, 1, 2, 9), 2, 1),
+     "n=1 k=1"),
+    (theta, "theta_multi_eval",
+     lambda: verify._check_oracle_tvec([(2, 1)], 1, 8), "n=2 k=1"),
+    (theta, "theta_qt",
+     lambda: verify._check_oracle_q(verify.BUILTIN_WEIGHTS[:1], [(2, 1)]), "n=2 k=1"),
+    (theta, "closed_form_ones_bivariate",
+     lambda: verify._check_bivariate(2, 1), "n=1 k=0"),
+    (theta, "theta_ordered_partitions",
+     lambda: verify._check_ordered_partitions(1, 2, 1), "m=1 n=1 k=1"),
+    (distributions, "bernstein_pgf",
+     lambda: verify._check_sum_theorem(3), "n=2 k=3"),
+], ids=["partial-fraction", "oracle-tvec", "oracle-q", "bivariate",
+        "ordered-partitions", "sum-theorem"])
+def test_verify_check_detects_perturbation(monkeypatch, module, subject, check, point):
+    assert check() is None
+    monkeypatch.setattr(module, subject, _perturbed(getattr(module, subject)))
+    detail = check()
+    assert detail is not None and point in detail, detail
 
 
 def test_budget_env_and_flag(capsys, monkeypatch):

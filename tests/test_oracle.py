@@ -102,6 +102,16 @@ def test_budget_enforcement(monkeypatch):
         oracle_budget()
 
 
+def test_nonpositive_budget_argument_refused():
+    # refused like a non-positive ZTT_BUDGET, not turned into a budget refusal
+    ones = OnesWeights()
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            theta_bruteforce(ones, 3, 2, budget=bad)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            theta_marginal_bruteforce(ones, 3, 2, 1, budget=bad)
+
+
 def test_marginal_bruteforce():
     ones = OnesWeights()
     # n=3, k=2: pairs with value 1 doubled: only (1,1); sigma^1 = 1 there

@@ -1,6 +1,5 @@
 """The five polynomial constructions and their closed-form relatives."""
 
-import random
 from fractions import Fraction
 from math import factorial
 
@@ -29,6 +28,7 @@ from ztt.theta import (
     zeta_star_ones,
     zeta_t_ones,
 )
+from ztt.verify import random_customs
 from ztt.weights import (
     CustomWeights,
     LinearWeights,
@@ -249,12 +249,7 @@ def test_bruteforce_matches_newton_on_zeta2(n, k):
 
 
 def test_partial_fraction_random_custom():
-    rng = random.Random(8191)
-    for _ in range(3):
-        vals = set()
-        while len(vals) < 4:
-            vals.add(F(rng.randint(1, 30), rng.randint(1, 30)))
-        seq = CustomWeights(tuple(sorted(vals)))
+    for _, seq in random_customs(8191, 3, 4, 30):
         poly = theta_newton(seq, 4, 3).poly
         for t0 in (F(1, 2), F(2)):
             assert theta_partial_fraction(seq, 4, 3, t0) == poly(t0)
