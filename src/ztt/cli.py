@@ -398,8 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named self-check suite")
     p.add_argument("--suite", default="all",
                    choices=sorted(verify.SUITES) + ["all"])
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p.add_argument("--max-k", type=int, default=8, dest="max_k")
+    p.add_argument("--max-n", type=int, default=8, dest="max_n",
+                   help="largest n (>= 2) for the identities and marginals "
+                        "suites; sumtheorem and limits ignore it")
+    p.add_argument("--max-k", type=int, default=8, dest="max_k",
+                   help="largest k (>= 1) for the identities and marginals "
+                        "suites; sumtheorem checks k = 3..max(MAX_K, 12) and "
+                        "limits ignores it; the JSON config echoes both flags "
+                        "as given")
     p.add_argument("--budget", type=int, default=None)
     _add_common(p)
     p.set_defaults(handler=cmd_verify)

@@ -24,11 +24,16 @@ A sixth route (theta_partial_fraction) evaluates at a fixed t by partial
 fractions when the weights are pairwise distinct, and a seventh
 (theta_ordered_partitions) sums truncated multiple zeta values over all
 compositions of k.
+
+theta_newton, the default, runs its recurrence on integers: it scales the
+weights by the lcm L of their denominators, so the i-th rung is an integer
+polynomial times L^-i, and builds the Fraction coefficients only at the end.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -120,16 +125,33 @@ def _alpha_polys(seq: WeightSequence, n: int, kmax: int) -> list:
     return [None] + [_alpha(power_sum(seq, n, j), j) for j in range(1, kmax + 1)]
 
 
-def _newton_ladder(alpha: list, k: int, one) -> list[Poly]:
-    """theta_0..theta_k from i * theta_i = sum_{j=1}^{i} alpha_j * theta_{i-j},
-    over the coefficient ring of alpha, whose unit is one."""
-    ladder = [Poly.constant(one)]
+def _newton_ladder(alpha: list, k: int, one, divide) -> list[list]:
+    """Coefficient lists of theta_0..theta_k from
+
+        i * theta_i = sum_{j=1}^{i} alpha_j * theta_{i-j},
+
+    where alpha[j] lists the coefficients of alpha_j (degree j - 1) in a
+    ring with unit one, and divide(c, i) divides exactly by the integer i.
+    Rung i >= 1 has degree at most i - 1, so it has i coefficients."""
+    zero = one - one
+    ladder = [[one]]
     for i in range(1, k + 1):
-        acc = Poly.zero()
+        acc = [zero] * i
         for j in range(1, i + 1):
-            acc = acc + alpha[j] * ladder[i - j]
-        ladder.append(acc * Fraction(1, i))
+            prev = ladder[i - j]
+            for r, x in enumerate(alpha[j]):
+                for s, y in enumerate(prev, r):
+                    acc[s] += x * y
+        ladder.append([divide(c, i) for c in acc])
     return ladder
+
+
+def _divide_exact(c: int, i: int) -> int:
+    """c // i for integers, refusing a non-zero remainder."""
+    q, r = divmod(c, i)
+    if r:
+        raise ArithmeticError(f"Newton rung {i}: {c} is not divisible by {i}")
+    return q
 
 
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
@@ -139,12 +161,29 @@ def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
 
         i * theta_i = sum_{j=1}^{i} alpha_j(t) * theta_{i-j}.
 
-    That is k(k+1)/2 polynomial products after k power sums: about k^4/24
-    rational multiplications for large k, on operands whose size keeps
-    growing with i.
+    theta_i is homogeneous of degree i in the weights, so with L the lcm of
+    the denominators of a_1..a_n, L^j p_j and every rung L^i theta_i have
+    integer coefficients.  The recurrence runs on those unreduced integers:
+    k(k+1)/2 products of integer coefficient lists (about k^4/24 integer
+    multiplications for large k, on operands of up to about k log2(L) bits
+    plus the size of the values), and the division by i is exact.  Each
+    rung is then built as one Fraction per coefficient, c / L^i.
     """
     _validate_nk(n, k)
-    return _newton_ladder(_alpha_polys(seq, n, k), k, Fraction(1))
+    sums = [power_sum(seq, n, j) for j in range(1, k + 1)]
+    # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
+    scale = math.lcm(*(weight_at(seq, m).denominator for m in range(1, n + 1))) if k else 1
+    alpha = [None]
+    for j, pj in enumerate(sums, 1):
+        scaled = pj * scale**j
+        if scaled.denominator != 1:
+            raise ArithmeticError(f"L^{j} p_{j} = {scaled} is not an integer")
+        alpha.append(_alpha(scaled.numerator, j).coeffs)
+    polys = []
+    for i, rung in enumerate(_newton_ladder(alpha, k, 1, _divide_exact)):
+        denominator = scale**i
+        polys.append(Poly([Fraction(c, denominator) for c in rung]))
+    return polys
 
 
 def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -571,9 +610,9 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
         raise ValueError("theta_infinite_zeta supports even integer m >= 2 only")
     if not isinstance(k, int) or k < 0:
         raise ValueError("theta_infinite_zeta needs k >= 0")
-    alpha = [None] + [_alpha(GradedValue(m * j // 2, zeta_even_coeff(m * j // 2)), j)
+    alpha = [None] + [_alpha(GradedValue(m * j // 2, zeta_even_coeff(m * j // 2)), j).coeffs
                       for j in range(1, k + 1)]
-    result = _newton_ladder(alpha, k, GradedValue(0, 1))[k]
+    result = Poly(_newton_ladder(alpha, k, GradedValue(0, 1), operator.truediv)[k])
     if t0 is None:
         return result
     value = result(Fraction(t0))

@@ -11,6 +11,8 @@ from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second
 from ztt.oracle import theta_bruteforce
 from ztt.theta import (
     ALGORITHMS,
+    _divide_exact,
+    _newton_ladder,
     GradedValue,
     ThetaPoly,
     closed_form_ones_bivariate,
@@ -18,6 +20,7 @@ from ztt.theta import (
     partition_series,
     prodinger_half,
     theta_infinite_zeta,
+    theta_convolution,
     theta_multi_eval,
     theta_newton,
     theta_newton_ladder,
@@ -231,14 +234,48 @@ def test_bivariate_closed_form():
                 theta_product(OnesWeights(), n, k).poly
 
 
+# a few distinct weights with denominators up to 97, then a list drawn from
+# them, so that the scale L^i is large and repeated weights occur
+_RANDOM_WEIGHTS = st.lists(
+    st.builds(F, st.integers(1, 200), st.integers(1, 97)), min_size=1, max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.fractions(min_value=F(1, 9), max_value=9), min_size=1,
-                max_size=5),
-       st.integers(0, 5))
+@given(_RANDOM_WEIGHTS, st.integers(0, 6))
 def test_product_equals_newton_on_random_weights(vals, k):
     seq = CustomWeights(tuple(vals))
     n = len(vals)
-    assert theta_product(seq, n, k).poly == theta_newton(seq, n, k).poly
+    ladder = theta_newton_ladder(seq, n, k)
+    assert len(ladder) == k + 1
+    for i, rung in enumerate(ladder):
+        assert rung == theta_product(seq, n, i).poly, (vals, i)
+
+
+def test_newton_ladder_against_convolution():
+    for seq in (QModifiedWeights(ZetaWeights(1), F(1, 3)), ZetaWeights(2)):
+        ladder = theta_newton_ladder(seq, 40, 12)
+        for i, rung in enumerate(ladder):
+            assert rung == theta_convolution(seq, 40, i).poly, (seq, i)
+
+
+def test_newton_ladder_edges():
+    a = F(5, 7)
+    ladder = theta_newton_ladder(CustomWeights((a,)), 1, 6)
+    assert ladder[0] == Poly([1])
+    for k in range(1, 7):
+        # a single index: k copies of a, with k - 1 adjacent equal pairs
+        assert ladder[k] == Poly.monomial(a**k, k - 1)
+    for seq in BUILTINS + (CustomWeights((F(3, 4), F(2, 9))),):
+        assert theta_newton_ladder(seq, 2, 0) == [Poly([1])]
+        assert theta_newton(seq, 2, 0).coefficients == (F(1),)
+
+
+def test_newton_ladder_refuses_inexact_division():
+    # alpha_1 = 1 and alpha_2 = t give 2 * theta_2 = 1 + t, odd over the integers
+    assert _newton_ladder([None, [1]], 1, 1, _divide_exact) == [[1], [1]]
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        _newton_ladder([None, [1], [0, 1]], 2, 1, _divide_exact)
 
 
 @settings(max_examples=15, deadline=None)
