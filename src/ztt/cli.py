@@ -64,13 +64,22 @@ def resolve_weights(name_or_path: str) -> WeightSequence:
     return builtin_weights(name_or_path)
 
 
-def _check_index_range(seq: WeightSequence, n_values) -> None:
+def _grid(args):
+    """Weights and --n/--k ranges of a weighted table, with its shared config.
+
+    Returns (seq, ns, ks, config); config holds the weights, n and k keys,
+    and each table appends its own keys after them.
+    """
+    seq = resolve_weights(args.weights)
+    ns = parse_range(args.n)
+    ks = parse_range(args.k)
     upper = seq.upper_index()
-    if upper is not None and max(n_values) > upper:
+    if upper is not None and max(ns) > upper:
         raise UsageError(
             f"weight sequence provides {upper} terms but n up to "
-            f"{max(n_values)} was requested"
+            f"{max(ns)} was requested"
         )
+    return seq, ns, ks, {"weights": seq.config(), "n": args.n, "k": args.k}
 
 
 def _fmt_float(x: float, precision: int) -> str:
@@ -127,10 +136,7 @@ def _render(fmt: str, command: str, config: dict, columns, rows) -> str:
 
 
 def _theta_table(args):
-    seq = resolve_weights(args.weights)
-    ns = parse_range(args.n)
-    ks = parse_range(args.k)
-    _check_index_range(seq, ns)
+    seq, ns, ks, config = _grid(args)
     if any(n < 1 for n in ns) or any(k < 0 for k in ks):
         raise UsageError("need n >= 1 and k >= 0")
     t_values = [parse_rational(t) for t in args.t] if args.t else []
@@ -150,14 +156,8 @@ def _theta_table(args):
                  for name, fn in theta.ALGORITHMS.items()
                  if show_agree or name == args.algo]
 
-    config = {
-        "weights": seq.config(),
-        "n": args.n,
-        "k": args.k,
-        "algo": args.algo,
-        "t": [format_rational(t) for t in t_values],
-        "precision": args.precision,
-    }
+    config.update(algo=args.algo, t=[format_rational(t) for t in t_values],
+                  precision=args.precision)
     value_col = "values" if t_values else "coefficients"
     if as_csv:
         key_col = "t" if t_values else "coeff_index"
@@ -189,16 +189,8 @@ def _theta_table(args):
 
 
 def _pmf_table(args):
-    seq = resolve_weights(args.weights)
-    ns = parse_range(args.n)
-    ks = parse_range(args.k)
-    _check_index_range(seq, ns)
-    config = {
-        "weights": seq.config(),
-        "n": args.n,
-        "k": args.k,
-        "precision": args.precision,
-    }
+    seq, ns, ks, config = _grid(args)
+    config["precision"] = args.precision
     columns = ("n", "k", "j", "probability", "approx")
     rows = []
     for n in ns:
@@ -214,19 +206,10 @@ def _pmf_table(args):
 
 
 def _moments_table(args):
-    seq = resolve_weights(args.weights)
-    ns = parse_range(args.n)
-    ks = parse_range(args.k)
-    _check_index_range(seq, ns)
+    seq, ns, ks, config = _grid(args)
     if args.smax < 1:
         raise UsageError("--smax must be >= 1")
-    config = {
-        "weights": seq.config(),
-        "n": args.n,
-        "k": args.k,
-        "smax": args.smax,
-        "precision": args.precision,
-    }
+    config.update(smax=args.smax, precision=args.precision)
     fm_cols = tuple(f"fm{s}" for s in range(1, args.smax + 1))
     columns = ("n", "k", "mean", "variance") + fm_cols
     rows = []
@@ -332,8 +315,7 @@ def cmd_table(args) -> int:
 
 def cmd_export(args) -> int:
     config, columns, rows = _BUILDERS[args.table](args)
-    text = _emit_json(args.table, config, rows) if args.format == "json" \
-        else _emit_csv(columns, rows)
+    text = _render(args.format, args.table, config, columns, rows)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

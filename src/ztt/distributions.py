@@ -267,12 +267,15 @@ def marginal_mass(n: int, k: int, j: int) -> Fraction:
     The per-value probability generating function is
     [z^k] (1-z)^-(n-1) (1 + z/(1 - z t)) / C(n+k-1, k); the z-extraction
     collapses to single binomials.  Needs n >= 2 (one tracked value plus at
-    least one other).
+    least one other).  The support is 0..k-1; beyond it the binomials would
+    reflect to nonzero values, so j >= k returns 0.
     """
     if n < 2 or k < 1:
         raise ValueError("marginal laws need n >= 2 and k >= 1")
     if j < 0:
         raise ValueError("support point must be >= 0")
+    if j >= k:
+        return Fraction(0)
     denom = binomial(n + k - 1, k)
     if j == 0:
         num = binomial(n + k - 2, k) + binomial(n + k - 3, n - 2)
@@ -380,10 +383,14 @@ def _zeta_tail(s: int, n: int) -> float:
     )
 
 
-def _mzv_dp_float(indices: Sequence[int], n: int) -> float:
-    """Truncated multiple zeta value as a float, innermost index first,
-    with compensated accumulation."""
+def _mzv_dp_float(indices: Sequence[int], n: int) -> list:
+    """Truncated multiple zeta values of every suffix indices[j:] as floats.
+
+    One innermost-first pass with compensated accumulation; entry j of the
+    result is the value of indices[j:], truncated at n.
+    """
     suffix = [1.0] * (n + 1)
+    values = []
     for s in reversed(indices):
         new = [0.0] * (n + 1)
         acc = 0.0
@@ -398,7 +405,9 @@ def _mzv_dp_float(indices: Sequence[int], n: int) -> float:
             acc = t
             new[l] = acc + comp
         suffix = new
-    return suffix[n]
+        values.append(suffix[n])
+    values.reverse()
+    return values
 
 
 def _mzv_crude_bound(indices: Sequence[int]) -> float:
@@ -416,31 +425,34 @@ def truncated_mzv_numeric(indices: Sequence[int], n_trunc: int) -> tuple:
     order: tail = [sum_{l>n} l^-i1] x (value of the remaining indices), the
     bracket via Euler-Maclaurin.  The bound covers the neglected second-order
     tail, the Euler-Maclaurin remainder, and float accumulation noise.
+
+    One DP pass gives the truncated value of every suffix; value and bound
+    are then folded from the innermost index outward, each suffix's estimate
+    serving as the "remaining indices" factor of the next.
     """
     idx = tuple(int(i) for i in indices)
     if any(i < 2 for i in idx):
         raise ValueError("needs all indices >= 2 for convergence")
     if n_trunc < 10:
         raise ValueError("needs n_trunc >= 10")
-    if not idx:
-        return 1.0, 0.0
-    dp = _mzv_dp_float(idx, n_trunc)
-    if len(idx) == 1:
-        rest_val, rest_err = 1.0, 0.0
+    truncated = _mzv_dp_float(idx, n_trunc)
+    value, err = 1.0, 0.0
+    for j in range(len(idx) - 1, -1, -1):
+        i1 = idx[j]
         neglected = 0.0
-    else:
-        rest_val, rest_err = truncated_mzv_numeric(idx[1:], n_trunc)
-        i1, i2 = idx[0], idx[1]
-        neglected = (
-            2.0 ** (i2 - 1) / (i2 - 1)
-            * _mzv_crude_bound(idx[2:])
-            * float(n_trunc) ** (2 - i1 - i2) / (i1 + i2 - 2)
-        )
-    corr = _zeta_tail(idx[0], n_trunc)
-    value = dp + corr * rest_val
-    em_remainder = float(idx[0]) ** 5 * float(n_trunc) ** (-idx[0] - 5)
-    noise = 1e-15 * n_trunc * len(idx)
-    return value, neglected + corr * rest_err + em_remainder + noise
+        if j + 1 < len(idx):
+            i2 = idx[j + 1]
+            neglected = (
+                2.0 ** (i2 - 1) / (i2 - 1)
+                * _mzv_crude_bound(idx[j + 2:])
+                * float(n_trunc) ** (2 - i1 - i2) / (i1 + i2 - 2)
+            )
+        corr = _zeta_tail(i1, n_trunc)
+        em_remainder = float(i1) ** 5 * float(n_trunc) ** (-i1 - 5)
+        noise = 1e-15 * n_trunc * (len(idx) - j)
+        value, err = (truncated[j] + corr * value,
+                      neglected + corr * err + em_remainder + noise)
+    return value, err
 
 
 def s_infinity_2_exact(k: int) -> Pmf:
@@ -508,16 +520,17 @@ def bernstein_pgf(n: int, k: int) -> Poly:
     """The sum-theorem pgf assembled in the Bernstein basis of degree n-1:
 
         sum_{j=0}^{n-1} C(k-1, j) t^j (1-t)^(n-1-j) / C(k-1, n-1).
+
+    Expanding (1-t)^(n-1-j) binomially gives coefficient i in the monomial
+    basis as sum_{j<=i} (-1)^(i-j) C(k-1, j) C(n-1-j, i-j) / C(k-1, n-1).
     """
     if not 1 <= n < k:
         raise ValueError("needs k > n >= 1")
-    one_minus_t = Poly((Fraction(1), Fraction(-1)))
     denom = binomial(k - 1, n - 1)
-    acc = Poly.zero()
-    for j in range(n):
-        term = Poly.monomial(Fraction(binomial(k - 1, j), denom), j)
-        acc = acc + term * one_minus_t ** (n - 1 - j)
-    return acc
+    return Poly(
+        Fraction(sum((-1) ** (i - j) * binomial(k - 1, j) * binomial(n - 1 - j, i - j)
+                     for j in range(i + 1)), denom)
+        for i in range(n))
 
 
 def bezier_coeffs(n: int, k: int) -> tuple:

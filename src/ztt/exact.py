@@ -207,6 +207,8 @@ class Poly:
             raise ValueError("inexact polynomial division")
         return Poly(q)
 
+    __truediv__ = exact_div
+
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"
@@ -417,33 +419,23 @@ def bell_complete(xs: Sequence, k: int):
     return bs[k]
 
 
-def _is_poly_matrix(rows) -> bool:
-    return any(isinstance(entry, Poly) for row in rows for entry in row)
-
-
 def det_exact(rows: Sequence[Sequence]):
     """Exact determinant of a square matrix of rationals or Poly entries.
 
     Fraction-free Bareiss elimination with row pivoting; every intermediate
-    value is a minor of the input, so divisions are exact by construction.
+    value is a minor of the input, so the division by the previous pivot
+    (1 at the first step) is exact.  One loop serves both entry types, and
+    mixed matrices: Fraction and Poly arithmetic promote to Poly, and
+    Poly / Poly is exact division.  The empty matrix has determinant 1.
     """
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("det_exact needs a square matrix")
-    poly_mode = _is_poly_matrix(rows)
     if k == 0:
-        return Poly.one() if poly_mode else Fraction(1)
-    if poly_mode:
-        m = [
-            [e if isinstance(e, Poly) else Poly.constant(Fraction(e)) for e in row]
-            for row in rows
-        ]
-        zero = Poly.zero()
-    else:
-        m = [[Fraction(e) for e in row] for row in rows]
-        zero = Fraction(0)
+        return Fraction(1)
+    m = [[e if isinstance(e, Poly) else Fraction(e) for e in row] for row in rows]
     sign = 1
-    prev = None  # previous pivot; divisions by it are exact
+    prev = 1
     for r in range(k - 1):
         if not m[r][r]:
             for i in range(r + 1, k):
@@ -452,19 +444,12 @@ def det_exact(rows: Sequence[Sequence]):
                     sign = -sign
                     break
             else:
-                return zero
+                return m[r][r]
         piv = m[r][r]
         for i in range(r + 1, k):
             row_i = m[i]
             for j in range(r + 1, k):
-                num = row_i[j] * piv - m[i][r] * m[r][j]
-                if prev is None:
-                    row_i[j] = num
-                elif poly_mode:
-                    row_i[j] = num.exact_div(prev) if num else zero
-                else:
-                    row_i[j] = num / prev
-            row_i[r] = zero
+                row_i[j] = (row_i[j] * piv - row_i[r] * m[r][j]) / prev
         prev = piv
     out = m[k - 1][k - 1]
     return out if sign == 1 else -out

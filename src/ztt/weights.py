@@ -203,6 +203,17 @@ _ALLOWED_KEYS = {
 }
 
 
+def _config_rational(value, what: str) -> Fraction:
+    """A JSON number or rational string as a Fraction; booleans and
+    non-finite numbers are refused."""
+    if isinstance(value, bool):
+        raise WeightConfigError(f"bad {what} {value!r}")
+    try:
+        return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise WeightConfigError(f"bad {what} {value!r}") from exc
+
+
 def _build(cfg, depth: int = 0) -> WeightSequence:
     if depth > 8:
         raise WeightConfigError("weight config nesting too deep")
@@ -230,21 +241,12 @@ def _build(cfg, depth: int = 0) -> WeightSequence:
     if kind == "custom":
         if "values" not in cfg or not isinstance(cfg["values"], list):
             raise WeightConfigError("custom weights need a list under 'values'")
-        vals = []
-        for v in cfg["values"]:
-            try:
-                vals.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
-            except (ValueError, TypeError) as exc:
-                raise WeightConfigError(f"bad custom weight value {v!r}") from exc
-        return CustomWeights(tuple(vals))
+        return CustomWeights(tuple(_config_rational(v, "custom weight value")
+                                   for v in cfg["values"]))
     # q_modified
     if "q" not in cfg or "base" not in cfg:
         raise WeightConfigError("q_modified weights need the keys 'q' and 'base'")
-    qv = cfg["q"]
-    try:
-        q = parse_rational(qv) if isinstance(qv, str) else Fraction(qv)
-    except (ValueError, TypeError) as exc:
-        raise WeightConfigError(f"bad q value {qv!r}") from exc
+    q = _config_rational(cfg["q"], "q value")
     return QModifiedWeights(_build(cfg["base"], depth + 1), q)
 
 

@@ -123,6 +123,16 @@ def test_marginal_law_against_enumeration():
             assert marginal_pmf(n, k) == pmf_from_masses(0, brute.coeffs)
 
 
+def test_marginal_mass_against_enumeration():
+    ones = OnesWeights()
+    for n in range(2, 7):
+        for k in range(1, 7):
+            brute = theta_marginal_bruteforce(ones, n, k, 1)
+            total = brute(F(1))
+            for j in range(k + 3):
+                assert marginal_mass(n, k, j) == brute.coefficient(j) / total, (n, k, j)
+
+
 def test_marginal_p0_and_variant():
     for n in range(2, 9):
         for k in range(1, 9):
@@ -193,6 +203,32 @@ def test_truncated_mzv_numeric():
         truncated_mzv_numeric((1, 2), 100)
     with pytest.raises(ValueError):
         truncated_mzv_numeric((2,), 5)
+
+
+def _mzv_reference_cases():
+    # zeta(2) at N=100 is both a single zeta value and {2}_1; keep it once
+    cases = [((s,), 100) for s in (2, 3, 5)]
+    cases += [((2,) * d, n_trunc) for d in range(1, 5) for n_trunc in (10, 100, 1000)]
+    cases += [((4, 2), 200), ((2, 4), 200)]
+    return list(dict.fromkeys(cases))
+
+
+@pytest.mark.parametrize("indices,n_trunc", _mzv_reference_cases())
+def test_truncated_mzv_bound_against_mpmath(indices, n_trunc):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        z3, z6 = mpmath.zeta(3), mpmath.zeta(6)
+        if len(indices) == 1:
+            exact = mpmath.zeta(indices[0])
+        elif indices == (4, 2):
+            exact = z3**2 - mpmath.mpf(4) / 3 * z6
+        elif indices == (2, 4):
+            exact = mpmath.mpf(25) / 12 * z6 - z3**2
+        else:
+            d = len(indices)
+            exact = mpmath.pi ** (2 * d) / mpmath.factorial(2 * d + 1)
+        val, err = truncated_mzv_numeric(indices, n_trunc)
+        assert abs(mpmath.mpf(val) - exact) <= err
 
 
 def test_s_infinity_2():

@@ -1,6 +1,7 @@
 """Polynomial, series, and combinatorial-number primitives."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -157,6 +158,29 @@ def test_det_exact():
     assert det_exact([[F(0), F(1)], [F(1), F(0)]]) == -1
     rows = [[Poly([0, 1]), Poly([1])], [Poly([1]), Poly([0, 1])]]
     assert det_exact(rows) == Poly([-1, 0, 1])
+    t = Poly([0, 1])
+    # Fraction and Poly entries mixed in one matrix
+    mixed = [[F(2), t, F(0)], [Poly([1, 1]), F(3), t], [F(1), t, F(5)]]
+    assert det_exact(mixed) == _leibniz_det(mixed) == Poly([30, -5, -6])
+    # a Poly matrix whose first pivot is zero
+    swap = [[Poly(), t, Poly([1])], [Poly([1, 1]), Poly([2]), t],
+            [t, Poly([0, 0, 1]), Poly([3])]]
+    assert det_exact(swap) == _leibniz_det(swap)
+    assert det_exact(swap) != 0
+    with pytest.raises(ValueError):
+        Poly([1, 0, 1]) / Poly([1, 1])
+
+
+def _leibniz_det(rows):
+    """Determinant as the signed sum over permutations, for small matrices."""
+    total = F(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = F(-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
 @settings(max_examples=40, deadline=None)

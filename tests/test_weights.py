@@ -107,6 +107,10 @@ def test_parse_config_rejections():
         '{"kind": "custom", "values": []}',
         '{"kind": "custom", "values": "1,2"}',
         '{"kind": "q_modified", "q": "1/2"}',
+        '{"kind": "custom", "values": [true]}',
+        '{"kind": "q_modified", "q": true, "base": {"kind": "ones"}}',
+        '{"kind": "custom", "values": [Infinity]}',
+        '{"kind": "q_modified", "q": -Infinity, "base": {"kind": "ones"}}',
         '[1, 2, 3]',
     ]
     for text in bad:
