@@ -22,11 +22,12 @@ from .exact import Poly, binomial, falling_factorial, harmonic
 from .oracle import compositions
 from .theta import (
     GradedValue,
+    _eh_scaled,
     _validate_nk,
     multiple_harmonic,
     theta_infinite_zeta,
     theta_multi_eval,
-    theta_newton,
+    theta_newton,  # noqa: F401  the benchmark tracer's self-test patches this name here
     zeta_star_ones,
 )
 from .weights import WeightSequence, ZetaWeights
@@ -187,25 +188,55 @@ def pmf_moments(pmf: Pmf, s_max: int = 2) -> MomentReport:
     return _fms_to_report(fms, s_max)
 
 
+def _theta_terms(seq: WeightSequence, n: int, k: int) -> list[int]:
+    """T_j = L^k h_j e_{k-j} for j = 0..k, as integers from the e/h kernel.
+
+    theta_{n;k}(t) = sum_j h_j e_{k-j} t^j (1-t)^(k-j) (the convolution
+    identity), so L^k theta is sum_j T_j t^j (1-t)^(k-j) and T_k = L^k h_k
+    is L^k theta(1).
+    """
+    _, es, hs = _eh_scaled(seq, n, k)
+    return [hs[j] * es[k - j] for j in range(k + 1)]
+
+
 def s_pmf(seq: WeightSequence, n: int, k: int) -> Pmf:
-    """Law of the adjacency count: normalized coefficients of theta_{n;k}."""
+    """Law of the adjacency count: normalized coefficients of theta_{n;k}.
+
+    Expanding (1-t)^(k-j) binomially, L^k times the coefficient of t^i is
+    the integer sum_{j<=i} (-1)^(i-j) C(k-j, i-j) T_j (see _theta_terms);
+    the t^k terms cancel for k >= 1.  Cost: the integer e/h kernel, O(n*k)
+    big-int multiply-adds on operands of about k*log2(L) bits, then O(k^2)
+    for the combination; the masses become Fractions only when normalized.
+    """
     _validate_nk(n, k, kmin=1)
-    poly = theta_newton(seq, n, k).poly
-    return pmf_from_masses(0, poly.coeffs)
+    terms = _theta_terms(seq, n, k)
+    masses = [sum((-1) ** (i - j) * math.comb(k - j, i - j) * terms[j]
+                  for j in range(i + 1))
+              for i in range(k)]
+    return pmf_from_masses(0, masses)
 
 
 def moments(seq: WeightSequence, n: int, k: int, s_max: int = 2) -> MomentReport:
-    """Factorial moments from derivatives of theta at t=1, exactly."""
+    """Factorial moments as derivatives of theta at t=1, with no polynomial.
+
+    Leibniz on the convolution identity gives
+
+        theta^(s)(1) = s! sum_{r<=min(s,k)} (-1)^r C(k-r, s-r) e_r h_{k-r},
+
+    so fm_s = s! sum_r (-1)^r C(k-r, s-r) T_{k-r} / T_k with T from
+    _theta_terms.  Cost: the integer e/h kernel, O(n*k) big-int
+    multiply-adds, then O(k) products and O(s_max*k) small-by-big
+    multiplications; one Fraction per moment.
+    """
     _validate_nk(n, k, kmin=1)
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    poly = theta_newton(seq, n, k).poly
-    total = poly(Fraction(1))
+    terms = _theta_terms(seq, n, k)
     fms = []
-    d = poly
-    for _ in range(max(2, s_max)):
-        d = d.derivative()
-        fms.append(d(Fraction(1)) / total)
+    for s in range(1, max(2, s_max) + 1):
+        num = sum((-1) ** r * math.comb(k - r, s - r) * terms[k - r]
+                  for r in range(min(s, k) + 1))
+        fms.append(Fraction(math.factorial(s) * num, terms[k]))
     return _fms_to_report(fms, s_max)
 
 

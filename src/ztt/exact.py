@@ -9,6 +9,7 @@ numerics.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -36,19 +37,53 @@ __all__ = [
 Rational = Fraction
 
 
+# Caps on a rational literal, checked before Fraction builds it: Fraction
+# computes 10**exponent in full, so "1e10000000" alone takes seconds.
+_MAX_LITERAL_DIGITS = 1000
+_MAX_LITERAL_EXPONENT = 1000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal such as '3', '-5/4', or '0.25' exactly."""
+    """Parse a rational literal such as '3', '-5/4', '0.25' or '1e-3' exactly.
+
+    A literal with more than 1000 digits, or with an exponent beyond
+    +-1000, is refused with ValueError before any big integer is built.
+    """
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    literal = text.strip()
+    digits = sum(c.isdigit() for c in literal)
+    if digits > _MAX_LITERAL_DIGITS:
+        raise ValueError(f"rational literal has {digits} digits; "
+                         f"at most {_MAX_LITERAL_DIGITS} are accepted")
+    _, marker, exponent = literal.lower().rpartition("e")
+    if marker:
+        try:
+            power = int(exponent)
+        except ValueError:
+            power = 0  # malformed; Fraction reports it below
+        if abs(power) > _MAX_LITERAL_EXPONENT:
+            raise ValueError(f"rational literal exponent {power} is outside "
+                             f"-{_MAX_LITERAL_EXPONENT}..{_MAX_LITERAL_EXPONENT}")
     try:
-        return Fraction(text.strip())
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational as 'p/q', or just 'p' when the denominator is 1."""
-    return str(Fraction(value))
+    """Render a rational as 'p/q', or just 'p' when the denominator is 1.
+
+    str() refuses integers past the interpreter's digit limit (4300 by
+    default), which exact laws reach at n, k of a few hundred; those are
+    rendered through Decimal, which has no such limit.
+    """
+    q = Fraction(value)
+    try:
+        return str(q)
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
 class Poly:

@@ -25,9 +25,16 @@ fractions when the weights are pairwise distinct, and a seventh
 (theta_ordered_partitions) sums truncated multiple zeta values over all
 compositions of k.
 
-theta_newton, the default, runs its recurrence on integers: it scales the
-weights by the lcm L of their denominators, so the i-th rung is an integer
-polynomial times L^-i, and builds the Fraction coefficients only at the end.
+Two private integer routes share one reading of the weights,
+_scaled_weights: the lcm L of the denominators of a_1..a_n and the integers
+L*a_m.  theta_newton, the default, runs its recurrence on them, so the i-th
+rung is an integer polynomial times L^-i and the Fraction coefficients are
+built only at the end.  _eh_scaled runs the e and h recurrences on them
+(E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds on
+operands of about k*log2(L) bits; the laws in ztt.distributions (s_pmf,
+moments) and zeta_star_ones are built from those endpoints.  The Fraction
+elementary_symmetric, complete_homogeneous and theta_convolution stay
+independent of both routes.
 """
 
 from __future__ import annotations
@@ -154,6 +161,33 @@ def _divide_exact(c: int, i: int) -> int:
     return q
 
 
+def _scaled_weights(seq: WeightSequence, n: int) -> tuple[int, list[int]]:
+    """L and the integers L*a_1, ..., L*a_n, with L the lcm of the
+    denominators of a_1..a_n; each weight is read once."""
+    terms = [weight_at(seq, m) for m in range(1, n + 1)]
+    scale = math.lcm(*(a.denominator for a in terms))
+    return scale, [a.numerator * (scale // a.denominator) for a in terms]
+
+
+def _eh_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[int], list[int]]:
+    """(L, E', H') with E'_j = L^j e_j and H'_j = L^j h_j for j = 0..k.
+
+    e_j and h_j are homogeneous of degree j in the weights, so the e and h
+    recurrences run on the integers L*a_m: O(n*k) multiply-adds on operands
+    of up to about k*log2(L) bits plus the size of the values, and no
+    Fraction is made.
+    """
+    scale, ints = _scaled_weights(seq, n)
+    es = [1] + [0] * k
+    hs = [1] + [0] * k
+    for m, b in enumerate(ints, 1):
+        for j in range(min(m, k), 0, -1):
+            es[j] += b * es[j - 1]
+        for j in range(1, k + 1):
+            hs[j] += b * hs[j - 1]
+    return scale, es, hs
+
+
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
     """All of theta_{n;0}, ..., theta_{n;k} from the power-sum recurrence.
 
@@ -163,22 +197,22 @@ def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
 
     theta_i is homogeneous of degree i in the weights, so with L the lcm of
     the denominators of a_1..a_n, L^j p_j and every rung L^i theta_i have
-    integer coefficients.  The recurrence runs on those unreduced integers:
-    k(k+1)/2 products of integer coefficient lists (about k^4/24 integer
-    multiplications for large k, on operands of up to about k log2(L) bits
-    plus the size of the values), and the division by i is exact.  Each
-    rung is then built as one Fraction per coefficient, c / L^i.
+    integer coefficients.  L^j p_j is summed as sum_m (L*a_m)^j over the
+    integers of _scaled_weights (n*k integer products).  The recurrence then
+    runs on unreduced integers: k(k+1)/2 products of integer coefficient
+    lists (about k^4/24 integer multiplications for large k, on operands of
+    up to about k log2(L) bits plus the size of the values), and the
+    division by i is exact.  Each rung is then built as one Fraction per
+    coefficient, c / L^i.
     """
     _validate_nk(n, k)
-    sums = [power_sum(seq, n, j) for j in range(1, k + 1)]
     # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
-    scale = math.lcm(*(weight_at(seq, m).denominator for m in range(1, n + 1))) if k else 1
+    scale, ints = _scaled_weights(seq, n) if k else (1, [])
     alpha = [None]
-    for j, pj in enumerate(sums, 1):
-        scaled = pj * scale**j
-        if scaled.denominator != 1:
-            raise ArithmeticError(f"L^{j} p_{j} = {scaled} is not an integer")
-        alpha.append(_alpha(scaled.numerator, j).coeffs)
+    powers = [1] * len(ints)
+    for j in range(1, k + 1):
+        powers = [p * b for p, b in zip(powers, ints)]
+        alpha.append(_alpha(sum(powers), j).coeffs)
     polys = []
     for i, rung in enumerate(_newton_ladder(alpha, k, 1, _divide_exact)):
         denominator = scale**i
@@ -360,9 +394,13 @@ def zeta_star_ones(n: int, k: int) -> Fraction:
     """Star variant with all-ones indices: the t=1 endpoint for 1/m weights.
 
     Equals h_k(1, 1/2, ..., 1/n), the weakly decreasing analogue of
-    multiple_harmonic(n, (1,)*k).
+    multiple_harmonic(n, (1,)*k), computed as H'_k / L^k by the integer
+    e/h kernel with L = lcm(1..n).
     """
-    return complete_homogeneous(ZetaWeights(1), n, k)[k]
+    if n < 0 or k < 0:
+        raise ValueError("zeta_star_ones needs n, k >= 0")
+    scale, _, hs = _eh_scaled(ZetaWeights(1), n, k)
+    return Fraction(hs[k], scale**k)
 
 
 def zeta_t_ones(n: int, k: int, t0) -> Fraction:

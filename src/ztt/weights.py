@@ -205,7 +205,8 @@ _ALLOWED_KEYS = {
 
 def _config_rational(value, what: str) -> Fraction:
     """A JSON number or rational string as a Fraction; booleans and
-    non-finite numbers are refused."""
+    non-finite numbers are refused.  JSON text reaches here with its
+    decimal numbers already exact (parse_weight_config)."""
     if isinstance(value, bool):
         raise WeightConfigError(f"bad {what} {value!r}")
     try:
@@ -236,7 +237,8 @@ def _build(cfg, depth: int = 0) -> WeightSequence:
             raise WeightConfigError("zeta weights need the key 'm'")
         m = cfg["m"]
         if isinstance(m, bool) or not isinstance(m, int):
-            raise WeightConfigError(f"zeta order must be an integer, got {m!r}")
+            shown = format_rational(m) if isinstance(m, Fraction) else repr(m)
+            raise WeightConfigError(f"zeta order must be an integer, got {shown}")
         return ZetaWeights(m)
     if kind == "custom":
         if "values" not in cfg or not isinstance(cfg["values"], list):
@@ -251,12 +253,19 @@ def _build(cfg, depth: int = 0) -> WeightSequence:
 
 
 def parse_weight_config(source) -> WeightSequence:
-    """Build a weight sequence from a JSON string or an already-parsed dict."""
+    """Build a weight sequence from a JSON string or an already-parsed dict.
+
+    In JSON text a number with a fraction or exponent is the exact decimal
+    as written (0.1 is 1/10, not its nearest binary double), read by the
+    length-capped parse_rational; a float in a dict keeps its binary value.
+    """
     if isinstance(source, (str, bytes)):
         try:
-            cfg = json.loads(source)
+            cfg = json.loads(source, parse_float=parse_rational)
         except json.JSONDecodeError as exc:
             raise WeightConfigError(f"weight config is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            raise WeightConfigError(f"bad number in weight config: {exc}") from exc
     else:
         cfg = source
     return _build(cfg)

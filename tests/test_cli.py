@@ -101,10 +101,18 @@ def test_theta_json_schema(capsys):
 def test_custom_weights_range_error(tmp_path, capsys):
     p = tmp_path / "w.json"
     p.write_text('{"kind": "custom", "values": ["1", "2", "3"]}')
-    code, _, err = run(capsys, "theta", "--weights", str(p), "--n", "50",
-                       "--k", "2")
-    assert code == 2
-    assert "3 terms" in err
+    for table in ("theta", "pmf", "moments"):
+        code, _, err = run(capsys, table, "--weights", str(p), "--n", "50",
+                           "--k", "2")
+        assert code == 2
+        assert "3 terms" in err
+
+
+def test_oversized_rational_is_usage_error(capsys):
+    code, out, err = run(capsys, "theta", "--weights", "ones", "--n", "2",
+                         "--k", "2", "--t", "1e1001")
+    assert code == 2 and not out
+    assert "exponent 1001" in err
 
 
 def test_unknown_weights_exit_code(capsys):

@@ -1,5 +1,6 @@
 """Polynomial, series, and combinatorial-number primitives."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -198,5 +199,29 @@ def test_rational_round_trip():
     assert format_rational(F(3, 4)) == "3/4"
     assert format_rational(F(8, 4)) == "2"
     assert format_rational(5) == "5"
+    # past the interpreter's int-to-str digit limit, against str() with
+    # the limit lifted
+    big = F(10**5000 + 1, 3**9000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert format_rational(big) == expected
+    assert format_rational(-big) == "-" + expected
+    assert format_rational(big.numerator) == expected.split("/")[0]
     with pytest.raises(ValueError):
         parse_rational("three")
+
+
+def test_parse_rational_caps_literal_size():
+    # each refused literal is at most one step past a cap, so it is cheap
+    # to build even where the caps are missing
+    assert parse_rational("1e1000") == 10**1000
+    assert parse_rational("-" + "9" * 1000) == 1 - 10**1000
+    assert parse_rational("1E-1000") == F(1, 10**1000)
+    for text in ("1e1001", "1e-1001", "2.5E+1001", "1" * 1001,
+                 "0." + "1" * 1000, "1/" + "3" * 1000):
+        with pytest.raises(ValueError):
+            parse_rational(text)

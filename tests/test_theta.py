@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ztt.distributions import moments, pmf_from_masses, pmf_moments, s_pmf
 from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second
 from ztt.oracle import theta_bruteforce
 from ztt.theta import (
@@ -16,6 +17,7 @@ from ztt.theta import (
     GradedValue,
     ThetaPoly,
     closed_form_ones_bivariate,
+    complete_homogeneous,
     multiple_harmonic,
     partition_series,
     prodinger_half,
@@ -37,6 +39,7 @@ from ztt.weights import (
     LinearWeights,
     OnesWeights,
     QModifiedWeights,
+    WeightConfigError,
     ZetaWeights,
 )
 
@@ -250,6 +253,37 @@ def test_product_equals_newton_on_random_weights(vals, k):
     assert len(ladder) == k + 1
     for i, rung in enumerate(ladder):
         assert rung == theta_product(seq, n, i).poly, (vals, i)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_RANDOM_WEIGHTS, st.integers(1, 8))
+def test_eh_kernel_laws_on_random_weights(vals, k):
+    # s_pmf and moments run on the integer e/h kernel; the oracle and the
+    # Newton ladder reach the same law by other routes
+    seq = CustomWeights(tuple(vals))
+    n = len(vals)
+    law = s_pmf(seq, n, k)
+    assert law == pmf_from_masses(0, theta_bruteforce(seq, n, k).coeffs), vals
+    assert law == pmf_from_masses(0, theta_newton(seq, n, k).coefficients), vals
+    for s_max in range(1, k + 3):
+        assert moments(seq, n, k, s_max) == pmf_moments(law, s_max), (vals, s_max)
+
+
+def test_zeta_star_ones_equals_complete_homogeneous():
+    for n in range(0, 30):
+        hs = complete_homogeneous(ZetaWeights(1), n, 12)
+        for k in range(0, 13):
+            assert zeta_star_ones(n, k) == hs[k], (n, k)
+    for n, k in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            zeta_star_ones(n, k)
+
+
+def test_custom_weights_past_their_end_refused():
+    seq = CustomWeights((F(1, 2), F(3)))
+    for fn in (theta_newton, s_pmf, moments):
+        with pytest.raises(WeightConfigError):
+            fn(seq, 3, 2)
 
 
 def test_newton_ladder_against_convolution():

@@ -98,6 +98,15 @@ def test_parse_config_kinds():
     assert nested == QModifiedWeights(LinearWeights(), F(1, 2))
 
 
+def test_json_decimals_are_exact():
+    got = parse_weight_config(
+        '{"kind": "custom", "values": [0.1, 2.5e-1, 1E3, 3, "0.1"]}')
+    assert got == CustomWeights((F(1, 10), F(1, 4), F(1000), F(3), F(1, 10)))
+    nested = parse_weight_config(
+        '{"kind": "q_modified", "q": 0.1, "base": {"kind": "ones"}}')
+    assert nested == QModifiedWeights(OnesWeights(), F(1, 10))
+
+
 def test_parse_config_rejections():
     bad = [
         "not json at all",
@@ -111,6 +120,8 @@ def test_parse_config_rejections():
         '{"kind": "q_modified", "q": true, "base": {"kind": "ones"}}',
         '{"kind": "custom", "values": [Infinity]}',
         '{"kind": "q_modified", "q": -Infinity, "base": {"kind": "ones"}}',
+        '{"kind": "custom", "values": [1e1001]}',
+        '{"kind": "zeta", "m": 2.0}',
         '[1, 2, 3]',
     ]
     for text in bad:
