@@ -4,8 +4,8 @@ Normalizing the coefficients of theta_{n;k}(t) turns the adjacency count
 sigma into a random variable S_{n,k}; this module houses its exact pmf and
 moments, the per-value marginal laws, the fixed-n limit objects, reference
 families (hypergeometric, Poisson, modified geometric, negative binomial,
-beta, exponential), and the distance diagnostics used to watch the limit
-theorems materialize at finite sizes.
+beta), and the distance diagnostics used to watch the limit theorems
+materialize at finite sizes.
 
 Everything stays in rational arithmetic until a distance or a reference
 density forces floats; float results never feed back into exact checks.
@@ -66,7 +66,6 @@ __all__ = [
     "negbin_pmf",
     "geometric_modified_pmf",
     "beta_moments",
-    "exp_moments",
     "normal_cdf",
     "tv_distance",
     "kolmogorov_distance_to_normal",
@@ -577,10 +576,12 @@ def expected_sigma_zeta(n: int, k: int) -> Fraction:
         [sum_{l=0}^{k-2} H_n^(l+2) zeta*_n({1}_{k-l-2})] / zeta*_n({1}_k).
     """
     _validate_nk(n, k, kmin=1)
+    # one e/h kernel call: zeta*_n({1}_j) = H'_j / L^j, scaled here by L^k
+    scale, _, hs = _eh_scaled(ZetaWeights(1), n, k)
     num = Fraction(0)
     for l in range(k - 1):
-        num += harmonic(n, l + 2) * zeta_star_ones(n, k - l - 2)
-    return num / zeta_star_ones(n, k)
+        num += harmonic(n, l + 2) * (hs[k - l - 2] * scale ** (l + 2))
+    return num / hs[k]
 
 
 def poisson_pmf(lam: float, cutoff: int) -> FloatPmf:
@@ -637,13 +638,6 @@ def beta_moments(alpha, beta, s_max: int) -> tuple:
         falling_factorial(alpha + s - 1, s) / falling_factorial(alpha + beta + s - 1, s)
         for s in range(1, s_max + 1)
     )
-
-
-def exp_moments(s_max: int) -> tuple:
-    """Raw moments of the standard exponential law: E(Z^s) = s!."""
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    return tuple(Fraction(math.factorial(s)) for s in range(1, s_max + 1))
 
 
 def normal_cdf(x: float) -> float:

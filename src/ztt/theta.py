@@ -29,12 +29,14 @@ Two private integer routes share one reading of the weights,
 _scaled_weights: the lcm L of the denominators of a_1..a_n and the integers
 L*a_m.  theta_newton, the default, runs its recurrence on them, so the i-th
 rung is an integer polynomial times L^-i and the Fraction coefficients are
-built only at the end.  _eh_scaled runs the e and h recurrences on them
-(E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds on
-operands of about k*log2(L) bits; the laws in ztt.distributions (s_pmf,
-moments) and zeta_star_ones are built from those endpoints.  The Fraction
-elementary_symmetric, complete_homogeneous and theta_convolution stay
-independent of both routes.
+built only at the end.  Each rung is kept in powers of t and of t - 1, so
+the recurrence costs about k^3/3 integer multiply-adds plus two Taylor
+shifts per rung (_newton_ladder).  _eh_scaled runs the e and h recurrences
+on them (E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds
+on operands of about k*log2(L) bits; the laws in ztt.distributions (s_pmf,
+moments, expected_sigma_zeta) and zeta_star_ones are built from those
+endpoints.  The Fraction elementary_symmetric, complete_homogeneous and
+theta_convolution stay independent of both routes.
 """
 
 from __future__ import annotations
@@ -118,39 +120,67 @@ def _validate_nk(n: int, k: int, kmin: int = 0) -> None:
         raise ValueError(f"needs k >= {kmin}, got {k!r}")
 
 
-def _alpha(pj, j: int) -> Poly:
-    """alpha_j(t) = p_j * (t^j - (t-1)^j) for the j-th power sum p_j.
-
-    Expanding the binomial, the coefficient of t^i is C(j, i) * (-1)^(j-i+1)
-    for i < j; the t^j terms cancel so the degree is j - 1.
-    """
-    return Poly([pj * (binomial(j, i) * (-1) ** (j - i + 1)) for i in range(j)])
-
-
 def _alpha_polys(seq: WeightSequence, n: int, kmax: int) -> list:
-    """alpha_1..alpha_kmax of a_1..a_n; index 0 is unused."""
-    return [None] + [_alpha(power_sum(seq, n, j), j) for j in range(1, kmax + 1)]
+    """alpha_1..alpha_kmax of a_1..a_n, with alpha_j(t) = p_j (t^j - (t-1)^j)
+    for the j-th power sum p_j; index 0 is unused.
+
+    Expanding the binomial, the coefficient of t^i is C(j, i) (-1)^(j-i+1)
+    p_j for i < j; the t^j terms cancel so the degree is j - 1.
+    """
+    alpha = [None]
+    for j in range(1, kmax + 1):
+        pj = power_sum(seq, n, j)
+        alpha.append(Poly([pj * (binomial(j, i) * (-1) ** (j - i + 1)) for i in range(j)]))
+    return alpha
 
 
-def _newton_ladder(alpha: list, k: int, one, divide) -> list[list]:
+def _taylor_shift(coeffs: list, step) -> None:
+    """Replace the coefficients of f(x), lowest degree first, by those of
+    f(x + 1) for step = operator.add or f(x - 1) for operator.sub, in place.
+
+    Horner's scheme: d(d-1)/2 additions for d coefficients, no products.
+    """
+    top = len(coeffs) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            coeffs[j] = step(coeffs[j], coeffs[j + 1])
+
+
+def _newton_ladder(P: list, k: int, one, divide) -> list[list]:
     """Coefficient lists of theta_0..theta_k from
 
-        i * theta_i = sum_{j=1}^{i} alpha_j * theta_{i-j},
+        i * theta_i = sum_{j=1}^{i} P_j (t^j - u^j) theta_{i-j},   u = t - 1,
 
-    where alpha[j] lists the coefficients of alpha_j (degree j - 1) in a
-    ring with unit one, and divide(c, i) divides exactly by the integer i.
-    Rung i >= 1 has degree at most i - 1, so it has i coefficients."""
+    where P[j] is a scalar in a ring with unit one (the j-th power sum, or
+    the scaled L^j p_j) and divide(c, i) divides exactly by the integer i.
+    Rung i >= 1 has degree at most i - 1, so it has i coefficients.
+
+    Every rung is kept in two bases: T_i in powers of t and U_i = T_i(u + 1)
+    in powers of u.  The t^j part of the sum is then P_j times a shifted copy
+    of T_{i-j}, the u^j part P_j times a shifted copy of U_{i-j}, and one
+    Taylor shift by -1 brings the second back to powers of t.  Rung i costs
+    about i^2 scalar multiply-adds and two Taylor shifts of about i^2/2
+    additions each: about k^3/3 products in all.
+    """
     zero = one - one
-    ladder = [[one]]
+    ts = [[one]]
+    us = [[one]]
     for i in range(1, k + 1):
-        acc = [zero] * i
+        a = [zero] * (i + 1)
+        b = [zero] * (i + 1)
         for j in range(1, i + 1):
-            prev = ladder[i - j]
-            for r, x in enumerate(alpha[j]):
-                for s, y in enumerate(prev, r):
-                    acc[s] += x * y
-        ladder.append([divide(c, i) for c in acc])
-    return ladder
+            p = P[j]
+            for s, (x, y) in enumerate(zip(ts[i - j], us[i - j]), j):
+                a[s] += p * x
+                b[s] += p * y
+        _taylor_shift(b, operator.sub)
+        # both sums lead with P_i t^i, which cancels
+        rung = [divide(x - y, i) for x, y in zip(a[:i], b)]
+        ts.append(rung)
+        shifted = rung[:]
+        _taylor_shift(shifted, operator.add)
+        us.append(shifted)
+    return ts
 
 
 def _divide_exact(c: int, i: int) -> int:
@@ -188,41 +218,49 @@ def _eh_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[int], lis
     return scale, es, hs
 
 
+def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[list[int]]]:
+    """L and the integer coefficient lists of L^i theta_i for i = 0..k."""
+    _validate_nk(n, k)
+    # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
+    scale, ints = _scaled_weights(seq, n) if k else (1, [])
+    sums = [None]
+    powers = [1] * len(ints)
+    for j in range(1, k + 1):
+        powers = [p * b for p, b in zip(powers, ints)]
+        sums.append(sum(powers))
+    return scale, _newton_ladder(sums, k, 1, _divide_exact)
+
+
+def _rung_poly(rung: list[int], denominator: int) -> Poly:
+    return Poly([Fraction(c, denominator) for c in rung])
+
+
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
     """All of theta_{n;0}, ..., theta_{n;k} from the power-sum recurrence.
 
     The log derivative of the product generating function gives
 
-        i * theta_i = sum_{j=1}^{i} alpha_j(t) * theta_{i-j}.
+        i * theta_i = sum_{j=1}^{i} p_j (t^j - (t-1)^j) theta_{i-j}.
 
     theta_i is homogeneous of degree i in the weights, so with L the lcm of
     the denominators of a_1..a_n, L^j p_j and every rung L^i theta_i have
     integer coefficients.  L^j p_j is summed as sum_m (L*a_m)^j over the
     integers of _scaled_weights (n*k integer products).  The recurrence then
-    runs on unreduced integers: k(k+1)/2 products of integer coefficient
-    lists (about k^4/24 integer multiplications for large k, on operands of
-    up to about k log2(L) bits plus the size of the values), and the
-    division by i is exact.  Each rung is then built as one Fraction per
-    coefficient, c / L^i.
+    runs on unreduced integers, each rung kept in powers of t and of t - 1
+    (_newton_ladder): about k^3/3 integer multiply-adds plus two Taylor
+    shifts per rung, on operands of up to about k log2(L) bits plus the size
+    of the values, and the division by i is exact.  Each rung is then built
+    as one Fraction per coefficient, c / L^i.
     """
-    _validate_nk(n, k)
-    # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
-    scale, ints = _scaled_weights(seq, n) if k else (1, [])
-    alpha = [None]
-    powers = [1] * len(ints)
-    for j in range(1, k + 1):
-        powers = [p * b for p, b in zip(powers, ints)]
-        alpha.append(_alpha(sum(powers), j).coeffs)
-    polys = []
-    for i, rung in enumerate(_newton_ladder(alpha, k, 1, _divide_exact)):
-        denominator = scale**i
-        polys.append(Poly([Fraction(c, denominator) for c in rung]))
-    return polys
+    scale, ladder = _newton_scaled(seq, n, k)
+    return [_rung_poly(rung, scale**i) for i, rung in enumerate(ladder)]
 
 
 def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
-    """theta via the power-sum recurrence; the default algorithm."""
-    return ThetaPoly(n, k, seq, theta_newton_ladder(seq, n, k)[k])
+    """theta via the power-sum recurrence; the default algorithm.  Only
+    rung k is built as Fractions."""
+    scale, ladder = _newton_scaled(seq, n, k)
+    return ThetaPoly(n, k, seq, _rung_poly(ladder[k], scale**k))
 
 
 def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -648,9 +686,9 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
         raise ValueError("theta_infinite_zeta supports even integer m >= 2 only")
     if not isinstance(k, int) or k < 0:
         raise ValueError("theta_infinite_zeta needs k >= 0")
-    alpha = [None] + [_alpha(GradedValue(m * j // 2, zeta_even_coeff(m * j // 2)), j).coeffs
+    zetas = [None] + [GradedValue(m * j // 2, zeta_even_coeff(m * j // 2))
                       for j in range(1, k + 1)]
-    result = Poly(_newton_ladder(alpha, k, GradedValue(0, 1), operator.truediv)[k])
+    result = Poly(_newton_ladder(zetas, k, GradedValue(0, 1), operator.truediv)[k])
     if t0 is None:
         return result
     value = result(Fraction(t0))

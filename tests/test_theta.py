@@ -1,7 +1,9 @@
 """The five polynomial constructions and their closed-form relatives."""
 
+import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,18 @@ def test_infinite_zeta_values():
         theta_infinite_zeta(0, 2, 0)
 
 
+def test_infinite_zeta_pinned():
+    # every coefficient for m in {2, 4, 6} and k <= 10, recorded from the
+    # earlier alpha-list ladder, which multiplied dense alpha_j(t) lists
+    pinned = json.loads((Path(__file__).parent / "golden" / "theta_infinite_zeta.json").read_text())
+    for m, rows in pinned.items():
+        m = int(m)
+        assert len(rows) == 11
+        for k, row in enumerate(rows):
+            got = theta_infinite_zeta(m, k).coeffs
+            assert [(c.weight, c.coeff) for c in got] == [(m * k // 2, F(c)) for c in row], (m, k)
+
+
 def test_bivariate_closed_form():
     for n in range(1, 9):
         for k in range(0, 9):
@@ -237,26 +251,30 @@ def test_bivariate_closed_form():
                 theta_product(OnesWeights(), n, k).poly
 
 
-# a few distinct weights with denominators up to 97, then a list drawn from
-# them, so that the scale L^i is large and repeated weights occur
-_RANDOM_WEIGHTS = st.lists(
-    st.builds(F, st.integers(1, 200), st.integers(1, 97)), min_size=1, max_size=4,
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+def _random_weights(max_size):
+    """A few distinct weights with denominators up to 97, then a list of up
+    to max_size drawn from them, so that the scale L^i is large and repeated
+    weights occur."""
+    return st.lists(
+        st.builds(F, st.integers(1, 200), st.integers(1, 97)), min_size=1, max_size=4,
+    ).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=max_size))
 
 
 @settings(max_examples=25, deadline=None)
-@given(_RANDOM_WEIGHTS, st.integers(0, 6))
+@given(_random_weights(12), st.integers(0, 10))
 def test_product_equals_newton_on_random_weights(vals, k):
+    # every rung of the two-basis ladder against two independent routes
     seq = CustomWeights(tuple(vals))
     n = len(vals)
     ladder = theta_newton_ladder(seq, n, k)
     assert len(ladder) == k + 1
     for i, rung in enumerate(ladder):
+        assert rung == theta_convolution(seq, n, i).poly, (vals, i)
         assert rung == theta_product(seq, n, i).poly, (vals, i)
 
 
 @settings(max_examples=25, deadline=None)
-@given(_RANDOM_WEIGHTS, st.integers(1, 8))
+@given(_random_weights(6), st.integers(1, 8))
 def test_eh_kernel_laws_on_random_weights(vals, k):
     # s_pmf and moments run on the integer e/h kernel; the oracle and the
     # Newton ladder reach the same law by other routes
@@ -306,10 +324,11 @@ def test_newton_ladder_edges():
 
 
 def test_newton_ladder_refuses_inexact_division():
-    # alpha_1 = 1 and alpha_2 = t give 2 * theta_2 = 1 + t, odd over the integers
-    assert _newton_ladder([None, [1]], 1, 1, _divide_exact) == [[1], [1]]
+    # P_1 = 1 and P_2 = 2 give 2 * theta_2 = 1 + 2 (t^2 - (t-1)^2) = -1 + 4t,
+    # odd over the integers
+    assert _newton_ladder([None, 1], 1, 1, _divide_exact) == [[1], [1]]
     with pytest.raises(ArithmeticError, match="not divisible by 2"):
-        _newton_ladder([None, [1], [0, 1]], 2, 1, _divide_exact)
+        _newton_ladder([None, 1, 2], 2, 1, _divide_exact)
 
 
 @settings(max_examples=15, deadline=None)
