@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly, binomial, falling_factorial, harmonic
+from .exact import Poly, binomial, falling_factorial
 from .oracle import compositions
 from .theta import (
     GradedValue,
     _eh_scaled,
+    _power_sums_scaled,
     _validate_nk,
     multiple_harmonic,
     theta_infinite_zeta,
@@ -574,14 +575,15 @@ def expected_sigma_zeta(n: int, k: int) -> Fraction:
     """Mean adjacency count for reciprocal weights 1/m as a harmonic-sum ratio:
 
         [sum_{l=0}^{k-2} H_n^(l+2) zeta*_n({1}_{k-l-2})] / zeta*_n({1}_k).
+
+    With L = lcm(1..n), H_n^(s) = P_s / L^s and zeta*_n({1}_j) = H'_j / L^j
+    on integers (_power_sums_scaled, _eh_scaled); every term carries L^-k,
+    so the ratio is the one Fraction sum_l P_{l+2} H'_{k-l-2} / H'_k.
     """
     _validate_nk(n, k, kmin=1)
-    # one e/h kernel call: zeta*_n({1}_j) = H'_j / L^j, scaled here by L^k
-    scale, _, hs = _eh_scaled(ZetaWeights(1), n, k)
-    num = Fraction(0)
-    for l in range(k - 1):
-        num += harmonic(n, l + 2) * (hs[k - l - 2] * scale ** (l + 2))
-    return num / hs[k]
+    _, sums = _power_sums_scaled(ZetaWeights(1), n, k)
+    _, _, hs = _eh_scaled(ZetaWeights(1), n, k)
+    return Fraction(sum(sums[l + 2] * hs[k - l - 2] for l in range(k - 1)), hs[k])
 
 
 def poisson_pmf(lam: float, cutoff: int) -> FloatPmf:

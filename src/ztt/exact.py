@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "format_rational",
     "Poly",
@@ -25,17 +24,11 @@ __all__ = [
     "falling_factorial",
     "stirling_first_unsigned",
     "stirling_second",
-    "harmonic",
     "bernoulli",
     "zeta_even_coeff",
     "bell_complete",
     "det_exact",
 ]
-
-# Exact rational scalars are plain fractions.Fraction values throughout the
-# package; the alias records the intent in signatures.
-Rational = Fraction
-
 
 # Caps on a rational literal, checked before Fraction builds it: Fraction
 # computes 10**exponent in full, so "1e10000000" alone takes seconds.
@@ -185,35 +178,11 @@ class Poly:
     def __rmul__(self, other) -> "Poly":
         return Poly(tuple(other * c for c in self.coeffs))
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Poly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __call__(self, x):
         acc = None
         for c in reversed(self.coeffs):
             acc = c if acc is None else acc * x + c
         return Fraction(0) if acc is None else acc
-
-    def derivative(self, order: int = 1) -> "Poly":
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        cs = self.coeffs
-        for _ in range(order):
-            cs = tuple(cs[i] * i for i in range(1, len(cs)))
-        return Poly(cs)
-
-    def shift(self, power: int) -> "Poly":
-        """Multiply by t**power."""
-        if not self.coeffs:
-            return self
-        if power < 0:
-            raise ValueError("shift power must be >= 0")
-        return Poly((Fraction(0),) * power + self.coeffs)
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises if the remainder is nonzero."""
@@ -396,18 +365,6 @@ def stirling_second(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return _stirling2_row(n)[k]
-
-
-def harmonic(n: int, order: int = 1) -> Fraction:
-    """Generalized harmonic number: sum of 1/m**order for m = 1..n."""
-    if n < 0:
-        raise ValueError("harmonic needs n >= 0")
-    if order < 1:
-        raise ValueError("harmonic needs order >= 1")
-    total = Fraction(0)
-    for m in range(1, n + 1):
-        total += Fraction(1, m**order)
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -27,16 +27,18 @@ compositions of k.
 
 Two private integer routes share one reading of the weights,
 _scaled_weights: the lcm L of the denominators of a_1..a_n and the integers
-L*a_m.  theta_newton, the default, runs its recurrence on them, so the i-th
-rung is an integer polynomial times L^-i and the Fraction coefficients are
+L*a_m, whose power sums P_j = L^j p_j _power_sums_scaled forms.
+theta_newton, the default, runs its recurrence on the P_j, so the i-th rung
+is an integer polynomial times L^-i and the Fraction coefficients are
 built only at the end.  Each rung is kept in powers of t and of t - 1, so
 the recurrence costs about k^3/3 integer multiply-adds plus two Taylor
 shifts per rung (_newton_ladder).  _eh_scaled runs the e and h recurrences
-on them (E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds
-on operands of about k*log2(L) bits; the laws in ztt.distributions (s_pmf,
-moments, expected_sigma_zeta) and zeta_star_ones are built from those
-endpoints.  The Fraction elementary_symmetric, complete_homogeneous and
-theta_convolution stay independent of both routes.
+on the integers (E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int
+multiply-adds on operands of about k*log2(L) bits; the laws in
+ztt.distributions (s_pmf, moments) and zeta_star_ones are built from those
+endpoints, and expected_sigma_zeta from H'_j and P_j.  The Fraction
+elementary_symmetric, complete_homogeneous, theta_convolution and
+weights.power_sum stay independent of both routes.
 """
 
 from __future__ import annotations
@@ -218,16 +220,23 @@ def _eh_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[int], lis
     return scale, es, hs
 
 
+def _power_sums_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list]:
+    """L and [None, P_1, ..., P_k] with P_j = L^j p_j = sum_m (L*a_m)^j, the
+    j-th power sum of a_1..a_n as an integer (n*k integer products)."""
+    scale, ints = _scaled_weights(seq, n)
+    sums = [None]
+    powers = [1] * n
+    for _ in range(k):
+        powers = [p * b for p, b in zip(powers, ints)]
+        sums.append(sum(powers))
+    return scale, sums
+
+
 def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[list[int]]]:
     """L and the integer coefficient lists of L^i theta_i for i = 0..k."""
     _validate_nk(n, k)
     # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
-    scale, ints = _scaled_weights(seq, n) if k else (1, [])
-    sums = [None]
-    powers = [1] * len(ints)
-    for j in range(1, k + 1):
-        powers = [p * b for p, b in zip(powers, ints)]
-        sums.append(sum(powers))
+    scale, sums = _power_sums_scaled(seq, n, k) if k else (1, [None])
     return scale, _newton_ladder(sums, k, 1, _divide_exact)
 
 
@@ -244,8 +253,8 @@ def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
 
     theta_i is homogeneous of degree i in the weights, so with L the lcm of
     the denominators of a_1..a_n, L^j p_j and every rung L^i theta_i have
-    integer coefficients.  L^j p_j is summed as sum_m (L*a_m)^j over the
-    integers of _scaled_weights (n*k integer products).  The recurrence then
+    integer coefficients.  L^j p_j is summed as sum_m (L*a_m)^j
+    (_power_sums_scaled, n*k integer products).  The recurrence then
     runs on unreduced integers, each rung kept in powers of t and of t - 1
     (_newton_ladder): about k^3/3 integer multiply-adds plus two Taylor
     shifts per rung, on operands of up to about k log2(L) bits plus the size

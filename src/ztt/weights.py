@@ -1,8 +1,8 @@
 """Weight sequences a_1, a_2, ... of positive rationals.
 
 Four built-in families (ones, linear, reciprocal powers, q-scaled) plus
-finite custom lists, together with the power sums sum_{m<=n} a_m^j that the
-recurrence-based algorithms consume.  Configurations round-trip through a
+finite custom lists, together with the Fraction power sums sum_{m<=n} a_m^j
+that theta_bell and theta_det consume.  Configurations round-trip through a
 small JSON schema.
 """
 
@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational, harmonic, parse_rational
+from .exact import format_rational, parse_rational
 
 __all__ = [
     "WeightConfigError",
@@ -38,16 +38,8 @@ class WeightConfigError(ValueError):
 class WeightSequence:
     """Base class; concrete families implement term(m) for m >= 1."""
 
-    kind: str = "abstract"
-
     def term(self, m: int) -> Fraction:
         raise NotImplementedError
-
-    def power_sum(self, n: int, j: int) -> Fraction:
-        total = Fraction(0)
-        for m in range(1, n + 1):
-            total += self.term(m) ** j
-        return total
 
     def upper_index(self) -> int | None:
         """Largest valid index, or None when the sequence is unbounded."""
@@ -56,19 +48,11 @@ class WeightSequence:
     def config(self) -> dict:
         raise NotImplementedError
 
-    def label(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True)
 class OnesWeights(WeightSequence):
-    kind = "ones"
-
     def term(self, m: int) -> Fraction:
         return Fraction(1)
-
-    def power_sum(self, n: int, j: int) -> Fraction:
-        return Fraction(n)
 
     def config(self) -> dict:
         return {"kind": "ones"}
@@ -76,8 +60,6 @@ class OnesWeights(WeightSequence):
 
 @dataclass(frozen=True)
 class LinearWeights(WeightSequence):
-    kind = "linear"
-
     def term(self, m: int) -> Fraction:
         return Fraction(m)
 
@@ -87,10 +69,10 @@ class LinearWeights(WeightSequence):
 
 @dataclass(frozen=True)
 class ZetaWeights(WeightSequence):
-    """a_m = 1/m**order; power sums are generalized harmonic numbers."""
+    """a_m = 1/m**order; its e/h sums are truncated multiple zeta values
+    and its j-th power sum up to n is the harmonic number H_n^(order*j)."""
 
     order: int
-    kind = "zeta"
 
     def __post_init__(self):
         if not isinstance(self.order, int) or self.order < 1:
@@ -99,14 +81,8 @@ class ZetaWeights(WeightSequence):
     def term(self, m: int) -> Fraction:
         return Fraction(1, m**self.order)
 
-    def power_sum(self, n: int, j: int) -> Fraction:
-        return harmonic(n, self.order * j)
-
     def config(self) -> dict:
         return {"kind": "zeta", "m": self.order}
-
-    def label(self) -> str:
-        return f"zeta:{self.order}"
 
 
 @dataclass(frozen=True)
@@ -115,7 +91,6 @@ class QModifiedWeights(WeightSequence):
 
     base: WeightSequence
     q: Fraction
-    kind = "q_modified"
 
     def __post_init__(self):
         object.__setattr__(self, "q", Fraction(self.q))
@@ -131,16 +106,12 @@ class QModifiedWeights(WeightSequence):
     def config(self) -> dict:
         return {"kind": "q_modified", "q": format_rational(self.q), "base": self.base.config()}
 
-    def label(self) -> str:
-        return f"q_modified(q={self.q}, base={self.base.label()})"
-
 
 @dataclass(frozen=True)
 class CustomWeights(WeightSequence):
     """Finite explicit list; indexing past the end is an error."""
 
     values: tuple[Fraction, ...]
-    kind = "custom"
 
     def __post_init__(self):
         vals = tuple(Fraction(v) for v in self.values)
@@ -163,9 +134,6 @@ class CustomWeights(WeightSequence):
     def config(self) -> dict:
         return {"kind": "custom", "values": [format_rational(v) for v in self.values]}
 
-    def label(self) -> str:
-        return f"custom[{len(self.values)}]"
-
 
 def weight_at(seq: WeightSequence, m: int) -> Fraction:
     """a_m, validating the index."""
@@ -175,7 +143,7 @@ def weight_at(seq: WeightSequence, m: int) -> Fraction:
 
 
 def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:
-    """sum_{m=1}^{n} a_m**j, using a closed form when the family has one."""
+    """sum_{m=1}^{n} a_m**j as a Fraction, summed term by term."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"power_sum needs n >= 0, got {n!r}")
     if not isinstance(j, int) or j < 1:
@@ -185,7 +153,7 @@ def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:
         raise WeightConfigError(
             f"power sum up to n={n} exceeds the {upper} available custom weights"
         )
-    return seq.power_sum(n, j)
+    return sum((weight_at(seq, m) ** j for m in range(1, n + 1)), Fraction(0))
 
 
 def has_distinct_terms(seq: WeightSequence, n: int) -> bool:
@@ -266,6 +234,8 @@ def parse_weight_config(source) -> WeightSequence:
             raise WeightConfigError(f"weight config is not valid JSON: {exc}") from exc
         except ValueError as exc:
             raise WeightConfigError(f"bad number in weight config: {exc}") from exc
+        except RecursionError as exc:
+            raise WeightConfigError("weight config nesting too deep") from exc
     else:
         cfg = source
     return _build(cfg)

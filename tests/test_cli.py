@@ -115,6 +115,15 @@ def test_oversized_rational_is_usage_error(capsys):
     assert "exponent 1001" in err
 
 
+def test_deep_json_weights_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "w.json"
+    p.write_text("[" * 100_000)
+    code, out, err = run(capsys, "theta", "--weights", str(p), "--n", "2",
+                         "--k", "2")
+    assert code == 2 and not out
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+
+
 def test_unknown_weights_exit_code(capsys):
     code, _, err = run(capsys, "theta", "--weights", "fancy", "--n", "2",
                        "--k", "2")

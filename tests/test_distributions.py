@@ -264,6 +264,8 @@ def test_expected_sigma_zeta():
         for k in range(1, 9):
             want = moments(ZetaWeights(1), n, k, 1).mean
             assert expected_sigma_zeta(n, k) == want
+    for n, k in ((24, 15), (60, 24)):
+        assert expected_sigma_zeta(n, k) == moments(ZetaWeights(1), n, k, 1).mean
     assert expected_sigma_zeta(4, 1) == 0
 
 

@@ -19,7 +19,6 @@ from ztt.exact import (
     falling_factorial,
     format_rational,
     gen_binomial,
-    harmonic,
     parse_rational,
     stirling_first_unsigned,
     stirling_second,
@@ -55,11 +54,7 @@ def test_poly_eval_and_coefficient():
     assert Poly([])(F(5)) == 0
 
 
-def test_poly_derivative_shift_div():
-    p = Poly([5, 0, 3, 1])
-    assert p.derivative() == Poly([0, 6, 3])
-    assert p.derivative(2) == Poly([6, 6])
-    assert Poly([1, 1]).shift(2) == Poly([0, 0, 1, 1])
+def test_poly_exact_div():
     prod = Poly([1, 1]) * Poly([2, 0, 5])
     assert prod.exact_div(Poly([1, 1])) == Poly([2, 0, 5])
     with pytest.raises(ValueError):
@@ -120,12 +115,6 @@ def test_stirling_numbers():
     # recurrence spot check at a larger index
     assert stirling_second(10, 3) == 9330
     assert stirling_first_unsigned(10, 3) == 1172700
-
-
-def test_harmonic_numbers():
-    assert harmonic(4) == F(25, 12)
-    assert harmonic(3, 2) == F(49, 36)
-    assert harmonic(0) == 0
 
 
 def test_bernoulli_numbers():

@@ -125,6 +125,10 @@ def test_partial_fraction():
 def test_multiple_harmonic():
     assert multiple_harmonic(5, ()) == 1
     assert multiple_harmonic(3, (1,)) == F(11, 6)
+    # depth 1: the generalized harmonic numbers H_n^(s)
+    assert multiple_harmonic(4, (1,)) == F(25, 12)
+    assert multiple_harmonic(3, (2,)) == F(49, 36)
+    assert multiple_harmonic(0, (1,)) == 0
     # strict double sum over 3 >= a > b >= 1
     assert multiple_harmonic(3, (1, 1)) == F(1, 2) + F(1, 3) + F(1, 6)
     assert multiple_harmonic(2, (1, 1, 1)) == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ztt.theta import multiple_harmonic
 from ztt.weights import (
     CustomWeights,
     LinearWeights,
@@ -39,6 +40,11 @@ def test_power_sums_match_direct_summation():
                 direct = sum((seq.term(m) ** j for m in range(1, n + 1)),
                              F(0))
                 assert power_sum(seq, n, j) == direct
+    for n in range(0, 7):
+        for j in range(1, 5):
+            assert power_sum(OnesWeights(), n, j) == n
+            for m in (1, 2, 3):
+                assert power_sum(ZetaWeights(m), n, j) == multiple_harmonic(n, (m * j,))
 
 
 def test_zeta_order_validation():
@@ -135,6 +141,12 @@ def test_nesting_depth_capped():
         cfg = {"kind": "q_modified", "q": "1/2", "base": cfg}
     with pytest.raises(WeightConfigError):
         parse_weight_config(cfg)
+
+
+def test_deep_json_nesting_refused():
+    # the JSON decoder itself recurses once per bracket
+    with pytest.raises(WeightConfigError, match="nesting too deep"):
+        parse_weight_config("[" * 100_000)
 
 
 def test_config_round_trip():
