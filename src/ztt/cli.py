@@ -249,13 +249,13 @@ def cmd_verify(args) -> int:
 
 def _limits_table(args):
     if args.regime == "all":
-        if args.grid:
+        if args.grid is not None:
             raise UsageError("--grid needs a single --regime")
         regimes = sorted(dist.DEFAULT_GRIDS)
         scans = [(r, None) for r in regimes]
     else:
         grid = None
-        if args.grid:
+        if args.grid is not None:
             try:
                 grid = tuple(int(p) for p in args.grid.split(","))
             except ValueError as exc:
@@ -428,8 +428,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    if getattr(args, "precision", 1) < 1:
-        print("error: --precision must be >= 1", file=sys.stderr)
+    # a double's exact decimal expansion ends within 1074 fractional digits
+    if not 1 <= getattr(args, "precision", 1) <= 1074:
+        print("error: --precision must be between 1 and 1074", file=sys.stderr)
         return 2
     try:
         return args.handler(args)

@@ -22,8 +22,11 @@ from .exact import Poly, binomial, falling_factorial
 from .oracle import compositions
 from .theta import (
     GradedValue,
-    _eh_scaled,
+    _bernstein_to_power,
+    _elementary_scaled,
+    _homogeneous_scaled,
     _power_sums_scaled,
+    _scaled_weights,
     _validate_nk,
     multiple_harmonic,
     theta_infinite_zeta,
@@ -192,28 +195,25 @@ def _theta_terms(seq: WeightSequence, n: int, k: int) -> list[int]:
     """T_j = L^k h_j e_{k-j} for j = 0..k, as integers from the e/h kernel.
 
     theta_{n;k}(t) = sum_j h_j e_{k-j} t^j (1-t)^(k-j) (the convolution
-    identity), so L^k theta is sum_j T_j t^j (1-t)^(k-j) and T_k = L^k h_k
-    is L^k theta(1).
+    identity), so T is L^k theta in the Bernstein basis of degree k, the
+    basis of the Newton ladder's rung k, and T_k = L^k h_k is L^k theta(1).
     """
-    _, es, hs = _eh_scaled(seq, n, k)
+    _, ints = _scaled_weights(seq, n)
+    es, hs = _elementary_scaled(ints, k), _homogeneous_scaled(ints, k)
     return [hs[j] * es[k - j] for j in range(k + 1)]
 
 
 def s_pmf(seq: WeightSequence, n: int, k: int) -> Pmf:
     """Law of the adjacency count: normalized coefficients of theta_{n;k}.
 
-    Expanding (1-t)^(k-j) binomially, L^k times the coefficient of t^i is
-    the integer sum_{j<=i} (-1)^(i-j) C(k-j, i-j) T_j (see _theta_terms);
-    the t^k terms cancel for k >= 1.  Cost: the integer e/h kernel, O(n*k)
+    _bernstein_to_power turns the Bernstein coefficients T_j of L^k theta
+    (_theta_terms) into the integers L^k times the coefficient of t^i; the
+    t^k one cancels for k >= 1.  Cost: the integer e/h kernel, O(n*k)
     big-int multiply-adds on operands of about k*log2(L) bits, then O(k^2)
-    for the combination; the masses become Fractions only when normalized.
+    for the conversion; the masses become Fractions only when normalized.
     """
     _validate_nk(n, k, kmin=1)
-    terms = _theta_terms(seq, n, k)
-    masses = [sum((-1) ** (i - j) * math.comb(k - j, i - j) * terms[j]
-                  for j in range(i + 1))
-              for i in range(k)]
-    return pmf_from_masses(0, masses)
+    return pmf_from_masses(0, _bernstein_to_power(_theta_terms(seq, n, k)))
 
 
 def moments(seq: WeightSequence, n: int, k: int, s_max: int = 2) -> MomentReport:
@@ -552,16 +552,14 @@ def bernstein_pgf(n: int, k: int) -> Poly:
 
         sum_{j=0}^{n-1} C(k-1, j) t^j (1-t)^(n-1-j) / C(k-1, n-1).
 
-    Expanding (1-t)^(n-1-j) binomially gives coefficient i in the monomial
-    basis as sum_{j<=i} (-1)^(i-j) C(k-1, j) C(n-1-j, i-j) / C(k-1, n-1).
+    _bernstein_to_power turns the integers C(k-1, j) into the monomial
+    basis, and each coefficient is divided by C(k-1, n-1).
     """
     if not 1 <= n < k:
         raise ValueError("needs k > n >= 1")
     denom = binomial(k - 1, n - 1)
-    return Poly(
-        Fraction(sum((-1) ** (i - j) * binomial(k - 1, j) * binomial(n - 1 - j, i - j)
-                     for j in range(i + 1)), denom)
-        for i in range(n))
+    coeffs = _bernstein_to_power([binomial(k - 1, j) for j in range(n)])
+    return Poly(Fraction(c, denom) for c in coeffs)
 
 
 def bezier_coeffs(n: int, k: int) -> tuple:
@@ -577,12 +575,12 @@ def expected_sigma_zeta(n: int, k: int) -> Fraction:
         [sum_{l=0}^{k-2} H_n^(l+2) zeta*_n({1}_{k-l-2})] / zeta*_n({1}_k).
 
     With L = lcm(1..n), H_n^(s) = P_s / L^s and zeta*_n({1}_j) = H'_j / L^j
-    on integers (_power_sums_scaled, _eh_scaled); every term carries L^-k,
-    so the ratio is the one Fraction sum_l P_{l+2} H'_{k-l-2} / H'_k.
+    from the integers L/m (_power_sums_scaled, _homogeneous_scaled); each term
+    carries L^-k, so the ratio is one Fraction sum_l P_{l+2} H'_{k-l-2} / H'_k.
     """
     _validate_nk(n, k, kmin=1)
-    _, sums = _power_sums_scaled(ZetaWeights(1), n, k)
-    _, _, hs = _eh_scaled(ZetaWeights(1), n, k)
+    _, ints = _scaled_weights(ZetaWeights(1), n)
+    sums, hs = _power_sums_scaled(ints, k), _homogeneous_scaled(ints, k)
     return Fraction(sum(sums[l + 2] * hs[k - l - 2] for l in range(k - 1)), hs[k])
 
 

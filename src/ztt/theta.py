@@ -27,16 +27,16 @@ compositions of k.
 
 Two private integer routes share one reading of the weights,
 _scaled_weights: the lcm L of the denominators of a_1..a_n and the integers
-L*a_m, whose power sums P_j = L^j p_j _power_sums_scaled forms.
-theta_newton, the default, runs its recurrence on the P_j, so the i-th rung
-is an integer polynomial times L^-i and the Fraction coefficients are
-built only at the end.  Each rung is kept in powers of t and of t - 1, so
-the recurrence costs about k^3/3 integer multiply-adds plus two Taylor
-shifts per rung (_newton_ladder).  _eh_scaled runs the e and h recurrences
-on the integers (E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int
-multiply-adds on operands of about k*log2(L) bits; the laws in
-ztt.distributions (s_pmf, moments) and zeta_star_ones are built from those
-endpoints, and expected_sigma_zeta from H'_j and P_j.  The Fraction
+L*a_m.  theta_newton, the default, runs its recurrence on their power sums
+P_j = L^j p_j (_power_sums_scaled), so rung i is an integer polynomial
+times L^-i, kept in the Bernstein basis t^a (1-t)^(i-a): about k^3/6
+integer products (_newton_ladder), then one conversion to powers of t
+(_bernstein_to_power) and one Fraction per coefficient.  _elementary_scaled
+and _homogeneous_scaled run the e and h recurrences on the same integers
+(E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds.  The
+products L^k h_a e_{k-a} are rung k by a second route; the laws in
+ztt.distributions (s_pmf, moments) are built from them, zeta_star_ones
+from H'_k, and expected_sigma_zeta from H'_j and P_j.  The Fraction
 elementary_symmetric, complete_homogeneous, theta_convolution and
 weights.power_sum stay independent of both routes.
 """
@@ -136,53 +136,46 @@ def _alpha_polys(seq: WeightSequence, n: int, kmax: int) -> list:
     return alpha
 
 
-def _taylor_shift(coeffs: list, step) -> None:
-    """Replace the coefficients of f(x), lowest degree first, by those of
-    f(x + 1) for step = operator.add or f(x - 1) for operator.sub, in place.
-
-    Horner's scheme: d(d-1)/2 additions for d coefficients, no products.
-    """
-    top = len(coeffs) - 1
-    for i in range(top):
-        for j in range(top - 1, i - 1, -1):
-            coeffs[j] = step(coeffs[j], coeffs[j + 1])
-
-
 def _newton_ladder(P: list, k: int, one, divide) -> list[list]:
-    """Coefficient lists of theta_0..theta_k from
+    """Bernstein coefficient lists of theta_0..theta_k from
 
-        i * theta_i = sum_{j=1}^{i} P_j (t^j - u^j) theta_{i-j},   u = t - 1,
+        i * theta_i = sum_{j=1}^{i} P_j (t^j - (t-1)^j) theta_{i-j},
 
     where P[j] is a scalar in a ring with unit one (the j-th power sum, or
     the scaled L^j p_j) and divide(c, i) divides exactly by the integer i.
-    Rung i >= 1 has degree at most i - 1, so it has i coefficients.
 
-    Every rung is kept in two bases: T_i in powers of t and U_i = T_i(u + 1)
-    in powers of u.  The t^j part of the sum is then P_j times a shifted copy
-    of T_{i-j}, the u^j part P_j times a shifted copy of U_{i-j}, and one
-    Taylor shift by -1 brings the second back to powers of t.  Rung i costs
-    about i^2 scalar multiply-adds and two Taylor shifts of about i^2/2
-    additions each: about k^3/3 products in all.
+    Rung i is the list c_0..c_i with theta_i = sum_a c_a t^a (1-t)^(i-a).
+    Multiplying a degree-(i-j) basis element by t^j or by
+    (t-1)^j = (-1)^j (1-t)^j gives a degree-i one, so
+
+        i * c_a = sum_j P_j (c'_{a-j} - (-1)^j c'_a),   c' = rung i - j,
+
+    and one product P_j * c'_b feeds both terms: about k^3/6 scalar products
+    in all.  _bernstein_to_power turns a rung into powers of t.
     """
     zero = one - one
-    ts = [[one]]
-    us = [[one]]
+    rungs = [[one]]
     for i in range(1, k + 1):
-        a = [zero] * (i + 1)
-        b = [zero] * (i + 1)
+        acc = [zero] * (i + 1)
         for j in range(1, i + 1):
-            p = P[j]
-            for s, (x, y) in enumerate(zip(ts[i - j], us[i - j]), j):
-                a[s] += p * x
-                b[s] += p * y
-        _taylor_shift(b, operator.sub)
-        # both sums lead with P_i t^i, which cancels
-        rung = [divide(x - y, i) for x, y in zip(a[:i], b)]
-        ts.append(rung)
-        shifted = rung[:]
-        _taylor_shift(shifted, operator.add)
-        us.append(shifted)
-    return ts
+            p, step = P[j], (operator.add if j % 2 else operator.sub)
+            for a, x in enumerate(rungs[i - j]):
+                y = p * x
+                acc[a + j] += y
+                acc[a] = step(acc[a], y)
+        rungs.append([divide(c, i) for c in acc])
+    return rungs
+
+
+def _bernstein_to_power(coeffs: list) -> list:
+    """Coefficients, lowest power first, of sum_a c_a t^a (1-t)^(d-a) for
+    coeffs = c_0..c_d.  G_r = sum_{a<=r} c_a t^a (1-t)^(r-a) is
+    (1-t) G_{r-1} + c_r t^r: d(d+1)/2 subtractions in place, no product."""
+    out = list(coeffs)
+    for r in range(1, len(out)):
+        for i in range(r, 0, -1):
+            out[i] -= out[i - 1]
+    return out
 
 
 def _divide_exact(c: int, i: int) -> int:
@@ -201,47 +194,46 @@ def _scaled_weights(seq: WeightSequence, n: int) -> tuple[int, list[int]]:
     return scale, [a.numerator * (scale // a.denominator) for a in terms]
 
 
-def _eh_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[int], list[int]]:
-    """(L, E', H') with E'_j = L^j e_j and H'_j = L^j h_j for j = 0..k.
-
-    e_j and h_j are homogeneous of degree j in the weights, so the e and h
-    recurrences run on the integers L*a_m: O(n*k) multiply-adds on operands
-    of up to about k*log2(L) bits plus the size of the values, and no
-    Fraction is made.
-    """
-    scale, ints = _scaled_weights(seq, n)
+def _elementary_scaled(ints: list[int], k: int) -> list[int]:
+    """E'_0..E'_k with E'_j = L^j e_j for ints = L*a_1, ..., L*a_n: e_j is
+    homogeneous of degree j, so the recurrence runs on the integers."""
     es = [1] + [0] * k
-    hs = [1] + [0] * k
     for m, b in enumerate(ints, 1):
         for j in range(min(m, k), 0, -1):
             es[j] += b * es[j - 1]
+    return es
+
+
+def _homogeneous_scaled(ints: list[int], k: int) -> list[int]:
+    """H'_0..H'_k with H'_j = L^j h_j, as _elementary_scaled does e."""
+    hs = [1] + [0] * k
+    for b in ints:
         for j in range(1, k + 1):
             hs[j] += b * hs[j - 1]
-    return scale, es, hs
+    return hs
 
 
-def _power_sums_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list]:
-    """L and [None, P_1, ..., P_k] with P_j = L^j p_j = sum_m (L*a_m)^j, the
-    j-th power sum of a_1..a_n as an integer (n*k integer products)."""
-    scale, ints = _scaled_weights(seq, n)
+def _power_sums_scaled(ints: list[int], k: int) -> list:
+    """[None, P_1, ..., P_k] with P_j = L^j p_j = sum_m (L*a_m)^j, the j-th
+    power sum of a_1..a_n as an integer (n*k integer products)."""
     sums = [None]
-    powers = [1] * n
+    powers = [1] * len(ints)
     for _ in range(k):
         powers = [p * b for p, b in zip(powers, ints)]
         sums.append(sum(powers))
-    return scale, sums
+    return sums
 
 
 def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[list[int]]]:
-    """L and the integer coefficient lists of L^i theta_i for i = 0..k."""
+    """L and the integer Bernstein coefficients of L^i theta_i, i = 0..k."""
     _validate_nk(n, k)
     # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
-    scale, sums = _power_sums_scaled(seq, n, k) if k else (1, [None])
-    return scale, _newton_ladder(sums, k, 1, _divide_exact)
+    scale, ints = _scaled_weights(seq, n) if k else (1, [])
+    return scale, _newton_ladder(_power_sums_scaled(ints, k), k, 1, _divide_exact)
 
 
 def _rung_poly(rung: list[int], denominator: int) -> Poly:
-    return Poly([Fraction(c, denominator) for c in rung])
+    return Poly([Fraction(c, denominator) for c in _bernstein_to_power(rung)])
 
 
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
@@ -255,11 +247,12 @@ def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
     the denominators of a_1..a_n, L^j p_j and every rung L^i theta_i have
     integer coefficients.  L^j p_j is summed as sum_m (L*a_m)^j
     (_power_sums_scaled, n*k integer products).  The recurrence then
-    runs on unreduced integers, each rung kept in powers of t and of t - 1
-    (_newton_ladder): about k^3/3 integer multiply-adds plus two Taylor
-    shifts per rung, on operands of up to about k log2(L) bits plus the size
-    of the values, and the division by i is exact.  Each rung is then built
-    as one Fraction per coefficient, c / L^i.
+    runs on unreduced integers, each rung kept in the Bernstein basis
+    t^a (1-t)^(i-a) (_newton_ladder): about k^3/6 integer products and no
+    change of basis between rungs, on operands of up to about k log2(L)
+    bits plus the size of the values, and the division by i is exact.  Each
+    rung is then converted to powers of t (_bernstein_to_power) and built as
+    one Fraction per coefficient, c / L^i.
     """
     scale, ladder = _newton_scaled(seq, n, k)
     return [_rung_poly(rung, scale**i) for i, rung in enumerate(ladder)]
@@ -446,8 +439,8 @@ def zeta_star_ones(n: int, k: int) -> Fraction:
     """
     if n < 0 or k < 0:
         raise ValueError("zeta_star_ones needs n, k >= 0")
-    scale, _, hs = _eh_scaled(ZetaWeights(1), n, k)
-    return Fraction(hs[k], scale**k)
+    scale, ints = _scaled_weights(ZetaWeights(1), n)
+    return Fraction(_homogeneous_scaled(ints, k)[k], scale**k)
 
 
 def zeta_t_ones(n: int, k: int, t0) -> Fraction:
@@ -687,7 +680,7 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
     """theta for the untruncated reciprocal-power weights 1/j^m, even m.
 
     Every coefficient is homogeneous of weight m*k/2 in the pi^2 grading, so
-    the Newton recurrence runs over GradedValue coefficients with
+    the Newton ladder runs over GradedValue coefficients with
     alpha_j(t) = zeta(m j) (t^j - (t-1)^j).  Returns the polynomial in t
     (GradedValue coefficients), or its value at rational t0 when given.
     """
@@ -697,7 +690,8 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
         raise ValueError("theta_infinite_zeta needs k >= 0")
     zetas = [None] + [GradedValue(m * j // 2, zeta_even_coeff(m * j // 2))
                       for j in range(1, k + 1)]
-    result = Poly(_newton_ladder(zetas, k, GradedValue(0, 1), operator.truediv)[k])
+    ladder = _newton_ladder(zetas, k, GradedValue(0, 1), operator.truediv)
+    result = Poly(_bernstein_to_power(ladder[k]))
     if t0 is None:
         return result
     value = result(Fraction(t0))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -164,10 +166,12 @@ def test_moments_rows(capsys):
 
 
 def test_precision_validation(capsys):
-    code, _, err = run(capsys, "pmf", "--weights", "ones", "--n", "3",
-                       "--k", "2", "--precision", "0")
-    assert code == 2
-    assert "precision" in err
+    # 1075 digits would only pad the exact expansion of a double with zeros
+    for precision in ("0", "1075"):
+        code, _, err = run(capsys, "pmf", "--weights", "ones", "--n", "3",
+                           "--k", "2", "--precision", precision)
+        assert code == 2, precision
+        assert "precision" in err
 
 
 def test_partitions_output(capsys):
@@ -188,6 +192,19 @@ def test_limits_csv_schema(capsys):
     code2, _, err = run(capsys, "limits", "--grid", "5,10")
     assert code2 == 2
     assert "regime" in err
+
+
+def test_empty_limits_grid_is_usage_error(tmp_path, capsys):
+    # an empty --grid is a malformed grid, not a request for the default one
+    for regime in ("dn_zeta1", "all"):
+        code, out, err = run(capsys, "limits", "--regime", regime, "--grid", "")
+        assert code == 2, (regime, out)
+        assert "grid" in err
+        code, _, err = run(capsys, "export", "--table", "limits", "--regime", regime,
+                           "--grid", "", "--out", str(tmp_path / "scan.csv"))
+        assert code == 2, regime
+        assert "grid" in err
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_verify_cli(capsys):
@@ -371,3 +388,25 @@ def test_export_algo_all_reports_disagreement(tmp_path, capsys, monkeypatch):
     assert code == 1
     rows = json.loads(out_path.read_text())["rows"]
     assert {row["agree"] for row in rows} == {"no"}
+
+
+def _readme_commands() -> list:
+    """Argument lists of the `ztt ...` examples in README's "Command line"
+    block, with backslash continuations joined and `#` comments stripped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["ztt"]:
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the export example writes its file here
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztt.distributions import moments, pmf_from_masses, pmf_moments, s_pmf
+from ztt.distributions import _theta_terms, moments, pmf_from_masses, pmf_moments, s_pmf
 from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second
 from ztt.oracle import theta_bruteforce
 from ztt.theta import (
     ALGORITHMS,
+    _bernstein_to_power,
     _divide_exact,
     _newton_ladder,
+    _power_sums_scaled,
+    _scaled_weights,
     GradedValue,
     ThetaPoly,
     closed_form_ones_bivariate,
@@ -267,7 +270,7 @@ def _random_weights(max_size):
 @settings(max_examples=25, deadline=None)
 @given(_random_weights(12), st.integers(0, 10))
 def test_product_equals_newton_on_random_weights(vals, k):
-    # every rung of the two-basis ladder against two independent routes
+    # every rung of the Bernstein ladder against two independent routes
     seq = CustomWeights(tuple(vals))
     n = len(vals)
     ladder = theta_newton_ladder(seq, n, k)
@@ -328,11 +331,43 @@ def test_newton_ladder_edges():
 
 
 def test_newton_ladder_refuses_inexact_division():
-    # P_1 = 1 and P_2 = 2 give 2 * theta_2 = 1 + 2 (t^2 - (t-1)^2) = -1 + 4t,
+    # rung 1 is P_1 = P_1 ((1-t) + t), Bernstein coefficients [P_1, P_1];
+    # P_1 = 1 and P_2 = 2 give 2 * theta_2 = -(1-t)^2 + 2t(1-t) + 3t^2 = -1 + 4t,
     # odd over the integers
-    assert _newton_ladder([None, 1], 1, 1, _divide_exact) == [[1], [1]]
+    assert _newton_ladder([None, 1], 1, 1, _divide_exact) == [[1], [1, 1]]
     with pytest.raises(ArithmeticError, match="not divisible by 2"):
         _newton_ladder([None, 1, 2], 2, 1, _divide_exact)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_weights(12), st.integers(0, 10))
+def test_newton_ladder_equals_eh_bernstein_terms(vals, k):
+    # rung k of the power-sum ladder and the e/h kernel's Bernstein
+    # coefficients L^k h_a e_{k-a} are two routes to the same integers
+    seq = CustomWeights(tuple(vals))
+    n = len(vals)
+    _, ints = _scaled_weights(seq, n)
+    ladder = _newton_ladder(_power_sums_scaled(ints, k), k, 1, _divide_exact)
+    assert ladder[k] == _theta_terms(seq, n, k), vals
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda d: st.lists(st.integers(-10**6, 10**6), min_size=d + 1, max_size=d + 1)))
+def test_bernstein_to_power_expands_the_basis(coeffs):
+    d = len(coeffs) - 1
+    t = Poly([0, 1])
+    one_minus_t = Poly([1, -1])
+    want = Poly()
+    for a, c in enumerate(coeffs):
+        term = Poly([c])
+        for _ in range(a):
+            term = term * t
+        for _ in range(d - a):
+            term = term * one_minus_t
+        want = want + term
+    assert Poly(_bernstein_to_power(coeffs)) == want
+    assert len(_bernstein_to_power(coeffs)) == d + 1
 
 
 @settings(max_examples=15, deadline=None)
