@@ -13,13 +13,15 @@ density forces floats; float results never feed back into exact checks.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exact import Poly, binomial, falling_factorial
-from .oracle import compositions
 from .theta import (
     GradedValue,
     _bernstein_to_power,
@@ -449,6 +451,12 @@ def _mzv_crude_bound(indices: Sequence[int]) -> float:
     return out
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, and a float would be floored by int(); refuse both
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def truncated_mzv_numeric(indices: Sequence[int], n_trunc: int) -> tuple:
     """Float estimate of an infinite MZV (all indices >= 2) with error bound.
 
@@ -461,7 +469,10 @@ def truncated_mzv_numeric(indices: Sequence[int], n_trunc: int) -> tuple:
     are then folded from the innermost index outward, each suffix's estimate
     serving as the "remaining indices" factor of the next.
     """
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(indices)
+    for i in idx:
+        _require_int("every index", i)
+    _require_int("n_trunc", n_trunc)
     if any(i < 2 for i in idx):
         raise ValueError("needs all indices >= 2 for convergence")
     if n_trunc < 10:
@@ -492,6 +503,7 @@ def s_infinity_2_exact(k: int) -> Pmf:
     Every theta coefficient is a rational multiple of the same power of
     pi^2, so the normalized masses are exact rationals.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError("needs k >= 1")
     poly = theta_infinite_zeta(2, k)
@@ -502,25 +514,106 @@ def s_infinity_2_exact(k: int) -> Pmf:
     return pmf_from_masses(0, masses)
 
 
+# Outer indices per block of the (weight, depth) DP; each prefix sum carries
+# its last value into the next block, so memory does not grow with n_trunc.
+_SINF_CHUNK = 4096
+
+
+def _sinf_truncated_sums(k: int, n_trunc: int) -> list[list[float]]:
+    """T[l][w] = sum over compositions c of w into l parts of zeta_N(2c), N = n_trunc.
+
+    The outermost index m runs over 1..N, so level l is the prefix sum in m
+    of sum_p m^(-2p) T[l-1][w-p](m-1); T[0][0] = 1 at every m.
+    """
+    T = [[0.0] * (k + 1) for _ in range(k + 1)]
+    T[0][0] = 1.0
+    for m0 in range(1, n_trunc + 1, _SINF_CHUNK):
+        m1 = min(m0 + _SINF_CHUNK, n_trunc + 1)
+        x = array("d", [1.0 / (m * m) for m in range(m0, m1)])
+        pw = [None, x]
+        for _ in range(2, k + 1):
+            pw.append(array("d", map(operator.mul, pw[-1], x)))
+        # level l-1 on m0-1..m1-1; a map stops at the shorter x, so position
+        # i pairs m = m0+i with the value at m-1
+        prev = [array("d", [1.0]) * (m1 - m0 + 1)] + [None] * k
+        for l in range(1, k + 1):
+            cur = [None] * (k + 1)
+            for w in range(l, k + 1):
+                terms = None
+                for p in range(1, w - l + 2):
+                    if prev[w - p] is None:
+                        continue
+                    term = map(operator.mul, pw[p], prev[w - p])
+                    terms = term if terms is None else map(operator.add, terms, term)
+                cur[w] = array("d", itertools.accumulate(terms, initial=T[l][w]))
+                T[l][w] = cur[w][-1]
+            prev = cur
+    return T
+
+
+def _s_infinity_2_depths(k: int, n_trunc: int) -> tuple[list[float], list[float]]:
+    """Per depth l: the summed estimates and bounds of truncated_mzv_numeric(2c)
+    over the compositions c of k into l parts, without enumerating them.
+
+    Est(c) = T(c) + corr(c_1) Est(rest) is linear, so V[l][w], the summed
+    estimate over the compositions of w into l parts, is
+    T[l][w] + sum_p corr(2p) V[l-1][w-p].  The bound folds the same way and
+    adds, per composition, the Euler-Maclaurin remainder of its first part,
+    the noise allowance, and the neglected term, which depends only on the
+    first two parts' sum s and second part, and on the crude bound of the rest.
+    """
+    N = float(n_trunc)
+    T = _sinf_truncated_sums(k, n_trunc)
+    corr = [0.0] + [_zeta_tail(2 * p, n_trunc) for p in range(1, k + 1)]
+    em = [0.0] + [float(2 * p) ** 5 * N ** (-2 * p - 5) for p in range(1, k + 1)]
+    # neg[s] = sum over first parts p1 + p2 = s of the neglected-term factor
+    neg = [0.0] * (k + 1)
+    for s in range(2, k + 1):
+        second = sum(2.0 ** (2 * p2 - 1) / (2 * p2 - 1) for p2 in range(1, s))
+        neg[s] = second * N ** (2 - 2 * s) / (2 * s - 2)
+    V = [[0.0] * (k + 1) for _ in range(k + 1)]
+    E = [[0.0] * (k + 1) for _ in range(k + 1)]
+    count = [[0] * (k + 1) for _ in range(k + 1)]  # compositions of w into l parts
+    crude = [[0.0] * (k + 1) for _ in range(k + 1)]  # their summed _mzv_crude_bound
+    V[0][0], count[0][0], crude[0][0] = 1.0, 1, 1.0
+    for l in range(1, k + 1):
+        for w in range(l, k + 1):
+            v, e = T[l][w], 0.0
+            for p in range(1, w - l + 2):
+                c = count[l - 1][w - p]
+                count[l][w] += c
+                crude[l][w] += 2 * p / (2 * p - 1) * crude[l - 1][w - p]
+                v += corr[p] * V[l - 1][w - p]
+                e += corr[p] * E[l - 1][w - p] + em[p] * c
+            if l >= 2:
+                e += sum(neg[s] * crude[l - 2][w - s] for s in range(2, w - l + 3))
+            V[l][w] = v
+            E[l][w] = e + 1e-15 * n_trunc * l * count[l][w]
+    return [V[l][k] for l in range(k + 1)], [E[l][k] for l in range(k + 1)]
+
+
 def s_infinity_2_pmf(k: int, n_trunc: int = 100000) -> FloatPmf:
     """Numeric adjacency law for untruncated 1/m^2 weights, with error bound.
 
-    Sums truncated-and-tail-corrected MZVs over the compositions of k
-    grouped by length; independent of the graded-exact route, which tests
-    use to cross-check it.
+    Mass j is the sum of the tail-corrected truncated MZVs zeta(2c) over the
+    compositions c of k into k-j parts, normalized; the estimate and bound
+    of each equal truncated_mzv_numeric's up to float rounding.  One prefix-sum
+    DP over (weight, depth) replaces the 2^(k-1) compositions: about
+    k(k+1)(k+2)/6 float passes over m = 1..n_trunc, in blocks of fixed size,
+    so memory stays flat in n_trunc.  Independent of the graded-exact route,
+    which tests use to cross-check it.
     """
+    _require_int("k", k)
+    _require_int("n_trunc", n_trunc)
     if k < 1:
         raise ValueError("needs k >= 1")
     if n_trunc < 1000:
         raise ValueError("needs n_trunc >= 1000")
     if k == 1:
         return FloatPmf(0, (1.0,), 0.0)
-    nums = [0.0] * k
-    errs = [0.0] * k
-    for p in compositions(k):
-        val, err = truncated_mzv_numeric(tuple(2 * r for r in p), n_trunc)
-        nums[k - len(p)] += val
-        errs[k - len(p)] += err
+    values, bounds = _s_infinity_2_depths(k, n_trunc)
+    nums = values[:0:-1]  # mass j sums the compositions of depth k - j
+    errs = bounds[:0:-1]
     den = math.fsum(nums)
     den_err = math.fsum(errs)
     probs = tuple(v / den for v in nums)

@@ -357,15 +357,14 @@ def theta_convolution(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     _validate_nk(n, k)
     es = elementary_symmetric(seq, n, k)
     hs = complete_homogeneous(seq, n, k)
-    one_minus_t = Poly((Fraction(1), Fraction(-1)))
-    powers = [Poly.one()]
-    for _ in range(k):
-        powers.append(powers[-1] * one_minus_t)
-    acc = Poly.zero()
-    for j in range(k + 1):
-        if hs[j] and es[k - j]:
-            acc = acc + Poly.monomial(hs[j] * es[k - j], j) * powers[k - j]
-    return ThetaPoly(n, k, seq, acc)
+    # expand each (1-t)^(k-j) by explicit binomials, over one denominator
+    products = [hs[j] * es[k - j] for j in range(k + 1)]
+    den = math.lcm(*(c.denominator for c in products))
+    nums = [c.numerator * (den // c.denominator) for c in products]
+    coeffs = [Fraction(sum((-1) ** (i - j) * math.comb(k - j, i - j) * nums[j]
+                           for j in range(i + 1)), den)
+              for i in range(k + 1)]
+    return ThetaPoly(n, k, seq, Poly(coeffs))
 
 
 def theta_partial_fraction(seq: WeightSequence, n: int, k: int, t0) -> Fraction:

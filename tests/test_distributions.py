@@ -43,7 +43,7 @@ from ztt.distributions import (
     tv_distance,
 )
 from ztt.exact import Poly
-from ztt.oracle import theta_marginal_bruteforce
+from ztt.oracle import compositions, theta_marginal_bruteforce
 from ztt.theta import multiple_harmonic, zeta_star_ones
 from ztt.weights import OnesWeights, ZetaWeights
 
@@ -203,6 +203,11 @@ def test_truncated_mzv_numeric():
         truncated_mzv_numeric((1, 2), 100)
     with pytest.raises(ValueError):
         truncated_mzv_numeric((2,), 5)
+    # int() would floor 2.5 to 2 and answer zeta(2) for the wrong index
+    for indices, n_trunc in (((2.5,), 1000), ((2.0,), 1000), ((True, 2), 1000),
+                             ((2,), 1000.0), ((2,), True)):
+        with pytest.raises(ValueError):
+            truncated_mzv_numeric(indices, n_trunc)
 
 
 def _mzv_reference_cases():
@@ -243,6 +248,40 @@ def test_s_infinity_2():
     approx3 = s_infinity_2_pmf(3, 5000)
     for j in exact3.support():
         assert abs(approx3.mass(j) - float(exact3.mass(j))) < 1e-6
+    for k, n_trunc in ((2.5, 1000), (True, 1000), (3, 5000.0), (3, True)):
+        with pytest.raises(ValueError):
+            s_infinity_2_pmf(k, n_trunc)
+    for k in (2.0, True):
+        with pytest.raises(ValueError):
+            s_infinity_2_exact(k)
+
+
+@pytest.mark.parametrize("n_trunc", (1000, 5000))
+def test_s_infinity_2_exact_masses_within_bound(n_trunc):
+    # 5000 outer indices span two blocks of the DP, so the carry is exercised
+    for k in range(2, 13):
+        exact = s_infinity_2_exact(k)
+        approx = s_infinity_2_pmf(k, n_trunc)
+        assert approx.support() == exact.support()
+        # a bound near 1 would hold any masses; at k = 12 and 1000 it is 4e-3
+        assert approx.error_bound < 1e-2, (k, approx.error_bound)
+        for j in exact.support():
+            assert abs(approx.mass(j) - exact.mass(j)) <= approx.error_bound, (k, j)
+
+
+@pytest.mark.parametrize("n_trunc", (1000, 5000))
+def test_s_infinity_2_depths_equal_composition_sums(n_trunc):
+    # the (weight, depth) DP against one truncated_mzv_numeric per composition
+    for k in range(1, 9):
+        values, bounds = dist._s_infinity_2_depths(k, n_trunc)
+        want_values, want_bounds = [0.0] * (k + 1), [0.0] * (k + 1)
+        for c in compositions(k):
+            val, err = truncated_mzv_numeric(tuple(2 * r for r in c), n_trunc)
+            want_values[len(c)] += val
+            want_bounds[len(c)] += err
+        for depth in range(1, k + 1):
+            assert abs(values[depth] - want_values[depth]) <= want_bounds[depth], (k, depth)
+            assert math.isclose(bounds[depth], want_bounds[depth], rel_tol=1e-9), (k, depth)
 
 
 def test_sum_theorem():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ztt.distributions import _theta_terms, moments, pmf_from_masses, pmf_moments, s_pmf
-from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second
+from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second, zeta_even_coeff
 from ztt.oracle import theta_bruteforce
 from ztt.theta import (
     ALGORITHMS,
@@ -237,6 +237,20 @@ def test_infinite_zeta_values():
         theta_infinite_zeta(3, 2, 0)
     with pytest.raises(ValueError):
         theta_infinite_zeta(0, 2, 0)
+
+
+def test_infinite_zeta_closed_form_endpoints():
+    # theta_infinite_zeta(2, k) = sum_a zeta*({2}_a) zeta({2}_{k-a}) t^a (1-t)^(k-a),
+    # with zeta({2}_j) = pi^(2j)/(2j+1)! and zeta*({2}_a) = 2(1 - 2^(1-2a)) zeta(2a)
+    # from sin(pi x)/(pi x) = prod_m (1 - x^2/m^2) (Hoffman 1992)
+    def star(a):
+        return F(1) if a == 0 else 2 * (1 - F(2) ** (1 - 2 * a)) * zeta_even_coeff(a)
+
+    for t in (F(1, 3), F(2), F(-5, 7)):
+        for k in range(13):
+            want = sum(star(a) / factorial(2 * (k - a) + 1) * t**a * (1 - t) ** (k - a)
+                       for a in range(k + 1))
+            assert theta_infinite_zeta(2, k, t) == GradedValue(k, want), (t, k)
 
 
 def test_infinite_zeta_pinned():
