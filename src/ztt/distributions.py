@@ -28,6 +28,7 @@ from .theta import (
     _elementary_scaled,
     _homogeneous_scaled,
     _power_sums_scaled,
+    _require_int,
     _scaled_weights,
     _validate_nk,
     multiple_harmonic,
@@ -449,12 +450,6 @@ def _mzv_crude_bound(indices: Sequence[int]) -> float:
     for s in indices:
         out *= s / (s - 1)
     return out
-
-
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, and a float would be floored by int(); refuse both
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def truncated_mzv_numeric(indices: Sequence[int], n_trunc: int) -> tuple:

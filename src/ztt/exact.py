@@ -85,7 +85,9 @@ class Poly:
     Coefficients are stored lowest power first with trailing zeros trimmed,
     so the zero polynomial has an empty tuple and degree -1.  Coefficients
     are usually Fraction but any commutative ring element with +, * and a
-    false zero works (the graded pi-power values use this).
+    false zero works (the graded pi-power values use this).  Arithmetic
+    keeps the coefficient type: int coefficients in give int coefficients
+    out, also through an exact division whose quotient is integral.
     """
 
     __slots__ = ("coeffs",)
@@ -166,7 +168,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
                 continue
@@ -185,7 +187,12 @@ class Poly:
         return Fraction(0) if acc is None else acc
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises if the remainder is nonzero."""
+        """Exact polynomial division; raises if the remainder is nonzero.
+
+        A quotient coefficient c / lead of two ints stays an int when lead
+        divides c, and is the Fraction c / lead when it does not; so an
+        integer polynomial with an integral quotient keeps int coefficients.
+        """
         if not isinstance(divisor, Poly):
             divisor = Poly((divisor,))
         if not divisor:
@@ -197,12 +204,17 @@ class Poly:
         rem = list(self.coeffs)
         d = divisor.coeffs
         lead = d[-1]
-        q = [Fraction(0)] * (len(rem) - len(d) + 1)
+        q = [0] * (len(rem) - len(d) + 1)
         for i in range(len(q) - 1, -1, -1):
             c = rem[i + len(d) - 1]
             if not c:
                 continue
-            qc = Fraction(c) / lead if isinstance(c, int) else c / lead
+            if isinstance(c, int) and isinstance(lead, int):
+                qc, r = divmod(c, lead)
+                if r:
+                    qc = Fraction(c, lead)
+            else:
+                qc = c / lead
             q[i] = qc
             for j, y in enumerate(d):
                 if y:
@@ -395,13 +407,14 @@ def bell_complete(xs: Sequence, k: int):
 
     Uses the convolution recurrence
         B_k = sum_{j=1}^{k} C(k-1, j-1) x_j B_{k-j},  B_0 = 1,
-    and works verbatim over rationals or Poly arguments.
+    and works verbatim over rationals, integers or Poly arguments; integer
+    arguments give an integer result.
     """
     if k < 0:
         raise ValueError("bell_complete needs k >= 0")
     if len(xs) < k:
         raise ValueError(f"bell_complete needs at least {k} arguments, got {len(xs)}")
-    bs = [Fraction(1)]
+    bs = [1]
     for i in range(1, k + 1):
         total = None
         for j in range(1, i + 1):

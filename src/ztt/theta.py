@@ -25,20 +25,21 @@ fractions when the weights are pairwise distinct, and a seventh
 (theta_ordered_partitions) sums truncated multiple zeta values over all
 compositions of k.
 
-Two private integer routes share one reading of the weights,
-_scaled_weights: the lcm L of the denominators of a_1..a_n and the integers
-L*a_m.  theta_newton, the default, runs its recurrence on their power sums
-P_j = L^j p_j (_power_sums_scaled), so rung i is an integer polynomial
-times L^-i, kept in the Bernstein basis t^a (1-t)^(i-a): about k^3/6
-integer products (_newton_ladder), then one conversion to powers of t
-(_bernstein_to_power) and one Fraction per coefficient.  _elementary_scaled
-and _homogeneous_scaled run the e and h recurrences on the same integers
-(E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds.  The
-products L^k h_a e_{k-a} are rung k by a second route; the laws in
-ztt.distributions (s_pmf, moments) are built from them, zeta_star_ones
-from H'_k, and expected_sigma_zeta from H'_j and P_j.  The Fraction
-elementary_symmetric, complete_homogeneous, theta_convolution and
-weights.power_sum stay independent of both routes.
+Four of the five constructions run on integers scaled by L, the lcm of
+the denominators of a_1..a_n, and build one Fraction per coefficient at
+the end; Poly and Series keep int coefficients int.  _scaled_weights reads
+the weights once as L and the integers L*a_m.  theta_newton, the default,
+runs its recurrence on their power sums P_j = L^j p_j in the Bernstein
+basis t^a (1-t)^(i-a): about k^3/6 integer products (_newton_ladder), then
+one conversion to powers of t (_bernstein_to_power).  theta_product
+multiplies its series factors on L*a_m.  theta_bell and theta_det read the
+Fraction weights.power_sum and take only L, as L^j p_j.  _elementary_scaled
+and _homogeneous_scaled run the e and h recurrences on L*a_m
+(E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds; the
+products L^k h_a e_{k-a} are rung k by a second route, and the laws in
+ztt.distributions are built from them.  theta_convolution and its Fraction
+elementary_symmetric and complete_homogeneous stay independent of every
+integer route, as the references.
 """
 
 from __future__ import annotations
@@ -115,25 +116,43 @@ class ThetaPoly:
         return self.poly.coeffs
 
 
+def _require_int(name: str, value) -> None:
+    """The one integer guard of the entry points: ValueError for anything
+    but an int."""
+    # bool is an int subclass, and a float would be floored by int(); refuse both
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _validate_nk(n: int, k: int, kmin: int = 0) -> None:
-    if not isinstance(n, int) or n < 1:
+    _require_int("n", n)
+    _require_int("k", k)
+    if n < 1:
         raise ValueError(f"needs n >= 1, got {n!r}")
-    if not isinstance(k, int) or k < kmin:
+    if k < kmin:
         raise ValueError(f"needs k >= {kmin}, got {k!r}")
 
 
-def _alpha_polys(seq: WeightSequence, n: int, kmax: int) -> list:
-    """alpha_1..alpha_kmax of a_1..a_n, with alpha_j(t) = p_j (t^j - (t-1)^j)
-    for the j-th power sum p_j; index 0 is unused.
+def _alpha_scaled(seq: WeightSequence, n: int, kmax: int) -> tuple[int, list]:
+    """L and alpha'_1..alpha'_kmax (index 0 unused), kmax >= 1, with
+    alpha'_j = L^j alpha_j and alpha_j(t) = p_j (t^j - (t-1)^j) for the j-th
+    power sum p_j of a_1..a_n.
 
+    p_j is the Fraction weights.power_sum and L the lcm of the denominators
+    of a_1..a_n, so L^j p_j is an integer; a non-integer is refused.
     Expanding the binomial, the coefficient of t^i is C(j, i) (-1)^(j-i+1)
-    p_j for i < j; the t^j terms cancel so the degree is j - 1.
+    L^j p_j for i < j; the t^j terms cancel so the degree is j - 1.
     """
+    sums = [power_sum(seq, n, j) for j in range(1, kmax + 1)]
+    scale = _scaled_weights(seq, n)[0]
     alpha = [None]
-    for j in range(1, kmax + 1):
-        pj = power_sum(seq, n, j)
-        alpha.append(Poly([pj * (binomial(j, i) * (-1) ** (j - i + 1)) for i in range(j)]))
-    return alpha
+    for j, pj in enumerate(sums, 1):
+        scaled = pj * scale**j
+        if scaled.denominator != 1:
+            raise ArithmeticError(f"L^{j} p_{j} = {scaled} is not an integer")
+        alpha.append(Poly([scaled.numerator * (binomial(j, i) * (-1) ** (j - i + 1))
+                           for i in range(j)]))
+    return scale, alpha
 
 
 def _newton_ladder(P: list, k: int, one, divide) -> list[list]:
@@ -232,8 +251,10 @@ def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[list[
     return scale, _newton_ladder(_power_sums_scaled(ints, k), k, 1, _divide_exact)
 
 
-def _rung_poly(rung: list[int], denominator: int) -> Poly:
-    return Poly([Fraction(c, denominator) for c in _bernstein_to_power(rung)])
+def _fraction_poly(coeffs, denominator: int) -> Poly:
+    """The polynomial with coefficients c / denominator, one Fraction each,
+    for integer coefficients c (lowest power first)."""
+    return Poly([Fraction(c, denominator) for c in coeffs])
 
 
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
@@ -255,14 +276,15 @@ def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
     one Fraction per coefficient, c / L^i.
     """
     scale, ladder = _newton_scaled(seq, n, k)
-    return [_rung_poly(rung, scale**i) for i, rung in enumerate(ladder)]
+    return [_fraction_poly(_bernstein_to_power(rung), scale**i)
+            for i, rung in enumerate(ladder)]
 
 
 def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     """theta via the power-sum recurrence; the default algorithm.  Only
     rung k is built as Fractions."""
     scale, ladder = _newton_scaled(seq, n, k)
-    return ThetaPoly(n, k, seq, _rung_poly(ladder[k], scale**k))
+    return ThetaPoly(n, k, seq, _fraction_poly(_bernstein_to_power(ladder[k]), scale**k))
 
 
 def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -270,18 +292,20 @@ def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
 
     Factor m contributes 1 + sum_{j=1..k} a_m^j t^(j-1) z^j: a run of j
     copies of value m carries weight a_m^j and j-1 adjacent equal pairs.
+    The product runs on the integers b_m = L*a_m (_scaled_weights), so
+    every coefficient stays an int and [z^k] is L^k theta_k.
     """
     _validate_nk(n, k)
-    acc = Series.one(k)
-    for m in range(1, n + 1):
-        a = weight_at(seq, m)
-        coeffs = [Poly.one()]
-        apow = Fraction(1)
+    scale, ints = _scaled_weights(seq, n)
+    acc = Series(k, [Poly((1,))])
+    for b in ints:
+        coeffs = [Poly((1,))]
+        bpow = 1
         for j in range(1, k + 1):
-            apow *= a
-            coeffs.append(Poly.monomial(apow, j - 1))
+            bpow *= b
+            coeffs.append(Poly((0,) * (j - 1) + (bpow,)))
         acc = acc * Series(k, coeffs)
-    return ThetaPoly(n, k, seq, acc.coefficient(k))
+    return ThetaPoly(n, k, seq, _fraction_poly(acc.coefficient(k).coeffs, scale**k))
 
 
 def theta_bell(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -289,25 +313,32 @@ def theta_bell(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
 
     Exponentiating the logarithm of the generating function yields
     theta_k = B_k(x_1, ..., x_k) / k! with x_j = (j-1)! * alpha_j(t).
+    B_k is weighted-homogeneous of degree k, so at the integer arguments
+    x'_j = L^j x_j (_alpha_scaled) it is L^k B_k: theta_k is
+    B_k(x') / (k! L^k).
     """
     _validate_nk(n, k)
-    alpha = _alpha_polys(seq, n, k)
+    if k == 0:
+        return ThetaPoly(n, k, seq, Poly.one())
+    scale, alpha = _alpha_scaled(seq, n, k)
     xs = [math.factorial(j - 1) * alpha[j] for j in range(1, k + 1)]
     bk = bell_complete(xs, k)
-    poly = bk * Fraction(1, math.factorial(k)) if isinstance(bk, Poly) else Poly.constant(Fraction(bk))
-    return ThetaPoly(n, k, seq, poly)
+    return ThetaPoly(n, k, seq, _fraction_poly(bk.coeffs, math.factorial(k) * scale**k))
 
 
 def theta_det(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     """theta as det(M)/k! for the banded alpha matrix.
 
     M has alpha_{i-j+1}(t) on and below the diagonal and -1, -2, ...,
-    -(k-1) on the superdiagonal.
+    -(k-1) on the superdiagonal.  Scaling row i (from 0) by L^(i+1) and
+    column j by L^-j turns alpha_{i-j+1} into the integer alpha'_{i-j+1}
+    (_alpha_scaled), leaves the superdiagonal as it is, and multiplies the
+    determinant by L^k: theta_k is det(M') / (k! L^k).
     """
     _validate_nk(n, k)
     if k == 0:
         return ThetaPoly(n, k, seq, Poly.one())
-    alpha = _alpha_polys(seq, n, k)
+    scale, alpha = _alpha_scaled(seq, n, k)
     rows = []
     for i in range(k):
         row = []
@@ -315,12 +346,12 @@ def theta_det(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
             if j <= i:
                 row.append(alpha[i - j + 1])
             elif j == i + 1:
-                row.append(Poly.constant(Fraction(-(i + 1))))
+                row.append(Poly.constant(-(i + 1)))
             else:
                 row.append(Poly.zero())
         rows.append(row)
     det = det_exact(rows)
-    return ThetaPoly(n, k, seq, det * Fraction(1, math.factorial(k)))
+    return ThetaPoly(n, k, seq, _fraction_poly(det.coeffs, math.factorial(k) * scale**k))
 
 
 def elementary_symmetric(seq: WeightSequence, n: int, k: int) -> list[Fraction]:
@@ -387,19 +418,16 @@ def theta_partial_fraction(seq: WeightSequence, n: int, k: int, t0) -> Fraction:
         return Fraction(1)
     if not has_distinct_terms(seq, n):
         raise ValueError("theta_partial_fraction needs pairwise distinct weights")
-    a = [None] + [weight_at(seq, m) for m in range(1, n + 1)]
+    a = [weight_at(seq, m) for m in range(1, n + 1)]
+    inv = [1 / x for x in a]
     c = (1 - t0) / t0
     total = Fraction(0)
-    for j in range(1, n + 1):
-        num = Fraction(1)
-        for m in range(1, n + 1):
-            num *= c / a[j] + 1 / a[m]
-        den = Fraction(1)
-        for l in range(1, n + 1):
-            if l != j:
-                den *= 1 / a[j] - 1 / a[l]
-        total += num / den * a[j] ** (k + 1) * t0**k
-    return (-1) ** (n - 1) * total
+    for j, (aj, rj) in enumerate(zip(a, inv)):
+        cj = c * rj
+        num = math.prod((cj + r for r in inv), start=Fraction(1))
+        den = math.prod((rj - r for l, r in enumerate(inv) if l != j), start=Fraction(1))
+        total += num / den * aj ** (k + 1)
+    return (-1) ** (n - 1) * total * t0**k
 
 
 def multiple_harmonic(n: int, indices: Sequence[int]) -> Fraction:
@@ -410,10 +438,13 @@ def multiple_harmonic(n: int, indices: Sequence[int]) -> Fraction:
 
     Empty index list gives 1; depth exceeding n gives 0.
     """
+    _require_int("n", n)
     if n < 0:
         raise ValueError("multiple_harmonic needs n >= 0")
     idx = tuple(indices)
-    if any(not isinstance(i, int) or i < 1 for i in idx):
+    for i in idx:
+        _require_int("every index", i)
+    if any(i < 1 for i in idx):
         raise ValueError("multiple_harmonic indices must be integers >= 1")
     if not idx:
         return Fraction(1)
@@ -436,6 +467,8 @@ def zeta_star_ones(n: int, k: int) -> Fraction:
     multiple_harmonic(n, (1,)*k), computed as H'_k / L^k by the integer
     e/h kernel with L = lcm(1..n).
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 0 or k < 0:
         raise ValueError("zeta_star_ones needs n, k >= 0")
     scale, ints = _scaled_weights(ZetaWeights(1), n)
@@ -502,7 +535,8 @@ def theta_ordered_partitions(m: int, n: int, k: int) -> ThetaPoly:
 
     where the first part of p is the multiplicity of the largest value.
     """
-    if not isinstance(m, int) or m < 1:
+    _require_int("m", m)
+    if m < 1:
         raise ValueError("theta_ordered_partitions needs an integer m >= 1")
     _validate_nk(n, k)
     coeffs = [Fraction(0)] * max(k, 1)
@@ -683,9 +717,11 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
     alpha_j(t) = zeta(m j) (t^j - (t-1)^j).  Returns the polynomial in t
     (GradedValue coefficients), or its value at rational t0 when given.
     """
-    if not isinstance(m, int) or m < 2 or m % 2:
+    _require_int("m", m)
+    _require_int("k", k)
+    if m < 2 or m % 2:
         raise ValueError("theta_infinite_zeta supports even integer m >= 2 only")
-    if not isinstance(k, int) or k < 0:
+    if k < 0:
         raise ValueError("theta_infinite_zeta needs k >= 0")
     zetas = [None] + [GradedValue(m * j // 2, zeta_even_coeff(m * j // 2))
                       for j in range(1, k + 1)]

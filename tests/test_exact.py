@@ -61,6 +61,35 @@ def test_poly_exact_div():
         Poly([1, 0, 1]).exact_div(Poly([1, 1]))
 
 
+def test_poly_exact_div_keeps_integers():
+    # an exact integer quotient stays int
+    q = (Poly([2, 3]) * Poly([-1, 0, 4])).exact_div(Poly([2, 3]))
+    assert q == Poly([-1, 0, 4])
+    assert all(type(c) is int for c in q.coeffs)
+    # an inexact integer step gives the Fraction c / lead, as over Q
+    q = Poly([3, 2]).exact_div(Poly([2]))
+    assert q.coeffs == (F(3, 2), 1)
+    assert type(q.coeffs[0]) is F
+    q = Poly([1, 3, 2]).exact_div(Poly([2, 2]))
+    assert q.coeffs == (F(1, 2), 1)
+    assert type(q.coeffs[0]) is F
+    # a non-zero remainder still raises
+    for dividend, divisor in (([1, 0, 1], [0, 2]), ([1, 1, 1], [1, 1]), ([5], [0, 1])):
+        with pytest.raises(ValueError):
+            Poly(dividend).exact_div(Poly(divisor))
+
+
+def test_integer_arithmetic_stays_integer():
+    p, q = Poly([1, -2, 3]), Poly([0, 4])
+    for poly in (p * q, p + q, p - q, 3 * p, (p * q) / q):
+        assert all(type(c) is int for c in poly.coeffs), poly
+    s = Series(3, [Poly([1]), p]) * Series(3, [Poly([1]), q])
+    assert all(type(c) is int for poly in s.coeffs for c in poly.coeffs)
+    assert type(bell_complete([2, 3, 5], 3)) is int
+    assert bell_complete([2, 3, 5], 3) == bell_complete([F(2), F(3), F(5)], 3) == 31
+    assert all(type(c) is int for c in det_exact([[p, q], [q, p]]).coeffs)
+
+
 def test_series_truncation():
     a = Series(2, [1, 1, 1])
     b = Series(2, [1, -1])

@@ -27,7 +27,9 @@ from ztt.theta import (
     partition_series,
     prodinger_half,
     theta_infinite_zeta,
+    theta_bell,
     theta_convolution,
+    theta_det,
     theta_multi_eval,
     theta_newton,
     theta_newton_ladder,
@@ -73,6 +75,48 @@ def test_all_algorithms_small_grid():
                 vals = set(polys.values())
                 assert len(vals) == 1, (seq, n, k, polys)
                 assert polys["newton"] == theta_bruteforce(seq, n, k)
+
+
+# builtins, a custom list with repeated values, and a q-scaled family
+CROSS_CHECK_WEIGHTS = BUILTINS + (
+    CustomWeights((F(3, 4), F(5), F(3, 4), F(2, 9), F(5))),
+    QModifiedWeights(ZetaWeights(1), F(2, 3)),
+)
+
+
+@pytest.mark.parametrize("seq", CROSS_CHECK_WEIGHTS,
+                         ids=("ones", "linear", "zeta1", "zeta2", "custom", "qzeta1"))
+def test_scaled_cross_check_routes_equal_references(seq):
+    # product, bell, det and qt run on L-scaled integers; the Fraction
+    # convolution and the oracle referee them, and the result is Fractions
+    for n in range(1, 6):
+        for k in range(0, 6):
+            ref = theta_convolution(seq, n, k).poly
+            assert ref == theta_bruteforce(seq, n, k), (seq, n, k)
+            for fn in (theta_product, theta_bell, theta_det):
+                poly = fn(seq, n, k).poly
+                assert poly == ref, (fn.__name__, seq, n, k)
+                assert all(type(c) is Fraction for c in poly.coeffs), (fn.__name__, poly)
+            for q in (F(1, 2), F(2)):
+                poly = theta_qt(seq, n, k, q).poly
+                assert poly == theta_bruteforce(seq, n, k, q=q), (seq, n, k, q)
+                assert poly == theta_convolution(QModifiedWeights(seq, q), n, k).poly
+                assert all(type(c) is Fraction for c in poly.coeffs), poly
+
+
+def test_integer_arguments_refuse_bool_and_float():
+    for call in (lambda: multiple_harmonic(3, (True, 2)),
+                 lambda: multiple_harmonic(3.0, (2,)),
+                 lambda: theta_infinite_zeta(2, True),
+                 lambda: theta_infinite_zeta(2.0, 2),
+                 lambda: theta_newton(ZetaWeights(1), True, 2),
+                 lambda: theta_product(ZetaWeights(1), True, 2),
+                 lambda: theta_newton(ZetaWeights(1), 3, 2.0),
+                 lambda: theta_ordered_partitions(True, 3, 2),
+                 lambda: zeta_star_ones(3, 2.0),
+                 lambda: zeta_star_ones(True, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
 
 
 def test_support_window():
