@@ -21,16 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly, binomial, falling_factorial
+from .exact import Poly, _require_int, _validate_nk, binomial, falling_factorial
 from .theta import (
     GradedValue,
+    _bernstein_terms,
     _bernstein_to_power,
     _elementary_scaled,
     _homogeneous_scaled,
     _power_sums_scaled,
-    _require_int,
     _scaled_weights,
-    _validate_nk,
     multiple_harmonic,
     theta_infinite_zeta,
     theta_multi_eval,
@@ -197,13 +196,12 @@ def pmf_moments(pmf: Pmf, s_max: int = 2) -> MomentReport:
 def _theta_terms(seq: WeightSequence, n: int, k: int) -> list[int]:
     """T_j = L^k h_j e_{k-j} for j = 0..k, as integers from the e/h kernel.
 
-    theta_{n;k}(t) = sum_j h_j e_{k-j} t^j (1-t)^(k-j) (the convolution
-    identity), so T is L^k theta in the Bernstein basis of degree k, the
-    basis of the Newton ladder's rung k, and T_k = L^k h_k is L^k theta(1).
+    T is L^k theta in the Bernstein basis of degree k (_bernstein_terms), as
+    in theta_newton, but H' and E' come from the direct e/h recurrences
+    instead of Newton's identities; T_k = L^k h_k is L^k theta(1).
     """
     _, ints = _scaled_weights(seq, n)
-    es, hs = _elementary_scaled(ints, k), _homogeneous_scaled(ints, k)
-    return [hs[j] * es[k - j] for j in range(k + 1)]
+    return _bernstein_terms(_homogeneous_scaled(ints, k), _elementary_scaled(ints, k), k)
 
 
 def s_pmf(seq: WeightSequence, n: int, k: int) -> Pmf:

@@ -36,6 +36,23 @@ _MAX_LITERAL_DIGITS = 1000
 _MAX_LITERAL_EXPONENT = 1000
 
 
+def _require_int(name: str, value) -> None:
+    """The one integer guard of the entry points: ValueError for anything
+    but an int."""
+    # bool is an int subclass, and a float would be floored by int(); refuse both
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _validate_nk(n: int, k: int, kmin: int = 0, nmin: int = 1) -> None:
+    _require_int("n", n)
+    _require_int("k", k)
+    if n < nmin:
+        raise ValueError(f"needs n >= {nmin}, got {n!r}")
+    if k < kmin:
+        raise ValueError(f"needs k >= {kmin}, got {k!r}")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal such as '3', '-5/4', '0.25' or '1e-3' exactly.
 

@@ -11,7 +11,7 @@ import os
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import Poly, binomial
+from .exact import Poly, _validate_nk, binomial
 from .weights import WeightSequence, weight_at
 
 __all__ = [
@@ -67,8 +67,7 @@ def _check_budget(n: int, k: int, budget: int | None) -> None:
 
 def count_multisets(n: int, k: int) -> int:
     """Number of size-k multisets over {1..n}."""
-    if n < 0 or k < 0:
-        raise ValueError("count_multisets needs n, k >= 0")
+    _validate_nk(n, k, nmin=0)
     return binomial(n + k - 1, k)
 
 
@@ -78,8 +77,7 @@ def enumerate_multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
     Order is ascending in the largest element, then recursively in the rest:
     (1,1,1), (2,1,1), (2,2,1), (2,2,2) for n=2, k=3.
     """
-    if n < 0 or k < 0:
-        raise ValueError("enumerate_multisets needs n, k >= 0")
+    _validate_nk(n, k, nmin=0)
     cur: list[int] = []
 
     def rec(remaining: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -160,8 +158,7 @@ def theta_bruteforce(
     Refuses to enumerate when the multiset count exceeds the budget
     (default 10**7, overridable via ZTT_BUDGET or the budget argument).
     """
-    if n < 1 or k < 0:
-        raise ValueError("theta_bruteforce needs n >= 1 and k >= 0")
+    _validate_nk(n, k)
     if tvec is not None and q is not None:
         raise ValueError("tvec and q refinements are mutually exclusive")
     _check_budget(n, k, budget)

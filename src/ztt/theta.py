@@ -14,7 +14,7 @@ multiple zeta values and their starred variants.
 Five structurally different constructions of the same polynomial live here:
 
   theta_product      coefficient extraction from a truncated series product
-  theta_newton       Newton-style log-derivative recurrence on power sums
+  theta_newton       Newton's identities for h and e on power sums
   theta_bell         complete Bell polynomial of scaled power sums
   theta_det          scaled determinant of a banded power-sum matrix
   theta_convolution  binomial convolution of the t=0 and t=1 endpoints
@@ -29,17 +29,19 @@ Four of the five constructions run on integers scaled by L, the lcm of
 the denominators of a_1..a_n, and build one Fraction per coefficient at
 the end; Poly and Series keep int coefficients int.  _scaled_weights reads
 the weights once as L and the integers L*a_m.  theta_newton, the default,
-runs its recurrence on their power sums P_j = L^j p_j in the Bernstein
-basis t^a (1-t)^(i-a): about k^3/6 integer products (_newton_ladder), then
-one conversion to powers of t (_bernstein_to_power).  theta_product
-multiplies its series factors on L*a_m.  theta_bell and theta_det read the
-Fraction weights.power_sum and take only L, as L^j p_j.  _elementary_scaled
-and _homogeneous_scaled run the e and h recurrences on L*a_m
-(E'_j = L^j e_j, H'_j = L^j h_j) in O(n*k) big-int multiply-adds; the
-products L^k h_a e_{k-a} are rung k by a second route, and the laws in
-ztt.distributions are built from them.  theta_convolution and its Fraction
-elementary_symmetric and complete_homogeneous stay independent of every
-integer route, as the references.
+sums their powers P_j = L^j p_j (n*k integer products) and runs Newton's
+identities on them (_newton_identity), once for H'_i = L^i h_i and once,
+on the sign-flipped sums, for E'_i = L^i e_i: about k^2 integer products.
+Rung i of L^i theta in the Bernstein basis t^a (1-t)^(i-a) is then the
+i + 1 products H'_a E'_{i-a} (_bernstein_terms), converted once to powers
+of t (_bernstein_to_power).  theta_product multiplies its series factors
+on L*a_m.  theta_bell and theta_det read the Fraction weights.power_sum and
+take only L, as L^j p_j.  _elementary_scaled and _homogeneous_scaled reach
+E' and H' by a second route, the direct e and h recurrences on L*a_m in
+O(n*k) big-int multiply-adds; the laws in ztt.distributions assemble
+their products with the same _bernstein_terms.  theta_convolution and its
+Fraction elementary_symmetric and complete_homogeneous stay independent of
+every integer route, as the references.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from typing import Sequence
 from .exact import (
     Poly,
     Series,
+    _require_int,
+    _validate_nk,
     bell_complete,
     binomial,
     det_exact,
@@ -116,23 +120,6 @@ class ThetaPoly:
         return self.poly.coeffs
 
 
-def _require_int(name: str, value) -> None:
-    """The one integer guard of the entry points: ValueError for anything
-    but an int."""
-    # bool is an int subclass, and a float would be floored by int(); refuse both
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _validate_nk(n: int, k: int, kmin: int = 0) -> None:
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 1:
-        raise ValueError(f"needs n >= 1, got {n!r}")
-    if k < kmin:
-        raise ValueError(f"needs k >= {kmin}, got {k!r}")
-
-
 def _alpha_scaled(seq: WeightSequence, n: int, kmax: int) -> tuple[int, list]:
     """L and alpha'_1..alpha'_kmax (index 0 unused), kmax >= 1, with
     alpha'_j = L^j alpha_j and alpha_j(t) = p_j (t^j - (t-1)^j) for the j-th
@@ -155,35 +142,37 @@ def _alpha_scaled(seq: WeightSequence, n: int, kmax: int) -> tuple[int, list]:
     return scale, alpha
 
 
-def _newton_ladder(P: list, k: int, one, divide) -> list[list]:
-    """Bernstein coefficient lists of theta_0..theta_k from
+def _newton_identity(P: list, k: int, one, divide) -> list:
+    """X_0..X_k from Newton's identity X_0 = one,
 
-        i * theta_i = sum_{j=1}^{i} P_j (t^j - (t-1)^j) theta_{i-j},
+        i * X_i = sum_{j=1}^{i} P_j X_{i-j},
 
-    where P[j] is a scalar in a ring with unit one (the j-th power sum, or
-    the scaled L^j p_j) and divide(c, i) divides exactly by the integer i.
+    where P[j] is a scalar in a ring with unit one and divide(c, i) divides
+    exactly by the integer i: about k^2/2 scalar products.
 
-    Rung i is the list c_0..c_i with theta_i = sum_a c_a t^a (1-t)^(i-a).
-    Multiplying a degree-(i-j) basis element by t^j or by
-    (t-1)^j = (-1)^j (1-t)^j gives a degree-i one, so
-
-        i * c_a = sum_j P_j (c'_{a-j} - (-1)^j c'_a),   c' = rung i - j,
-
-    and one product P_j * c'_b feeds both terms: about k^3/6 scalar products
-    in all.  _bernstein_to_power turns a rung into powers of t.
+    On the power sums p_j the X_i are the complete homogeneous h_i; on the
+    sign-flipped sums (-1)^(j-1) p_j they are the elementary e_i
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2).  Both are
+    homogeneous, so on P_j = L^j p_j they are L^i h_i and L^i e_i.
     """
-    zero = one - one
-    rungs = [[one]]
+    xs = [one]
     for i in range(1, k + 1):
-        acc = [zero] * (i + 1)
-        for j in range(1, i + 1):
-            p, step = P[j], (operator.add if j % 2 else operator.sub)
-            for a, x in enumerate(rungs[i - j]):
-                y = p * x
-                acc[a + j] += y
-                acc[a] = step(acc[a], y)
-        rungs.append([divide(c, i) for c in acc])
-    return rungs
+        xs.append(divide(sum(map(operator.mul, P[1:i + 1], reversed(xs)), one - one), i))
+    return xs
+
+
+def _newton_eh(P: list, k: int, one, divide) -> tuple[list, list]:
+    """h_0..h_k and e_0..e_k: Newton's identity on the power sums P_j and on
+    the sign-flipped sums (-1)^(j-1) P_j."""
+    signed = [None] + [p if j % 2 else -p for j, p in enumerate(P[1:], 1)]
+    return _newton_identity(P, k, one, divide), _newton_identity(signed, k, one, divide)
+
+
+def _bernstein_terms(hs: list, es: list, k: int) -> list:
+    """h_a e_{k-a} for a = 0..k: theta_k in the Bernstein basis t^a (1-t)^(k-a),
+    by the convolution identity theta_k = sum_a h_a e_{k-a} t^a (1-t)^(k-a).
+    On H'_a = L^a h_a and E'_j = L^j e_j they are those of L^k theta_k."""
+    return [hs[a] * es[k - a] for a in range(k + 1)]
 
 
 def _bernstein_to_power(coeffs: list) -> list:
@@ -201,7 +190,7 @@ def _divide_exact(c: int, i: int) -> int:
     """c // i for integers, refusing a non-zero remainder."""
     q, r = divmod(c, i)
     if r:
-        raise ArithmeticError(f"Newton rung {i}: {c} is not divisible by {i}")
+        raise ArithmeticError(f"Newton identity {i}: {c} is not divisible by {i}")
     return q
 
 
@@ -243,12 +232,13 @@ def _power_sums_scaled(ints: list[int], k: int) -> list:
     return sums
 
 
-def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[list[int]]]:
-    """L and the integer Bernstein coefficients of L^i theta_i, i = 0..k."""
+def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[int], list[int]]:
+    """L, H'_0..H'_k and E'_0..E'_k by Newton's identities on the integer
+    power sums P_j = L^j p_j."""
     _validate_nk(n, k)
     # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
     scale, ints = _scaled_weights(seq, n) if k else (1, [])
-    return scale, _newton_ladder(_power_sums_scaled(ints, k), k, 1, _divide_exact)
+    return (scale, *_newton_eh(_power_sums_scaled(ints, k), k, 1, _divide_exact))
 
 
 def _fraction_poly(coeffs, denominator: int) -> Poly:
@@ -258,33 +248,29 @@ def _fraction_poly(coeffs, denominator: int) -> Poly:
 
 
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:
-    """All of theta_{n;0}, ..., theta_{n;k} from the power-sum recurrence.
+    """All of theta_{n;0}, ..., theta_{n;k} from Newton's identities.
 
-    The log derivative of the product generating function gives
-
-        i * theta_i = sum_{j=1}^{i} p_j (t^j - (t-1)^j) theta_{i-j}.
-
-    theta_i is homogeneous of degree i in the weights, so with L the lcm of
-    the denominators of a_1..a_n, L^j p_j and every rung L^i theta_i have
-    integer coefficients.  L^j p_j is summed as sum_m (L*a_m)^j
-    (_power_sums_scaled, n*k integer products).  The recurrence then
-    runs on unreduced integers, each rung kept in the Bernstein basis
-    t^a (1-t)^(i-a) (_newton_ladder): about k^3/6 integer products and no
-    change of basis between rungs, on operands of up to about k log2(L)
-    bits plus the size of the values, and the division by i is exact.  Each
-    rung is then converted to powers of t (_bernstein_to_power) and built as
-    one Fraction per coefficient, c / L^i.
+    log Theta(z) = log H(tz) + log E((1-t)z), so the paper's coupled
+    recurrence i theta_i = sum_j p_j (t^j - (t-1)^j) theta_{i-j} factors
+    into Newton's identities for h and e on the power sums p_j.  On the
+    integers P_j = L^j p_j = sum_m (L*a_m)^j (n*k products, L the lcm of the
+    denominators) they give H'_i = L^i h_i and E'_i = L^i e_i in about k^2
+    products on operands of about k log2(L) bits, each division by i exact.
+    Rung i is then the i + 1 products H'_a E'_{i-a} in the Bernstein basis
+    t^a (1-t)^(i-a) (_bernstein_terms), converted to powers of t
+    (_bernstein_to_power) with one Fraction c / L^i per coefficient.
     """
-    scale, ladder = _newton_scaled(seq, n, k)
-    return [_fraction_poly(_bernstein_to_power(rung), scale**i)
-            for i, rung in enumerate(ladder)]
+    scale, hs, es = _newton_scaled(seq, n, k)
+    return [_fraction_poly(_bernstein_to_power(_bernstein_terms(hs, es, i)), scale**i)
+            for i in range(k + 1)]
 
 
 def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
-    """theta via the power-sum recurrence; the default algorithm.  Only
-    rung k is built as Fractions."""
-    scale, ladder = _newton_scaled(seq, n, k)
-    return ThetaPoly(n, k, seq, _fraction_poly(_bernstein_to_power(ladder[k]), scale**k))
+    """theta via Newton's identities on the power sums; the default
+    algorithm.  Only rung k is built."""
+    scale, hs, es = _newton_scaled(seq, n, k)
+    terms = _bernstein_terms(hs, es, k)
+    return ThetaPoly(n, k, seq, _fraction_poly(_bernstein_to_power(terms), scale**k))
 
 
 def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -356,8 +342,7 @@ def theta_det(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
 
 def elementary_symmetric(seq: WeightSequence, n: int, k: int) -> list[Fraction]:
     """e_0, ..., e_k of a_1..a_n (strictly decreasing tuples; theta at t=0)."""
-    if n < 0 or k < 0:
-        raise ValueError("elementary_symmetric needs n, k >= 0")
+    _validate_nk(n, k, nmin=0)
     es = [Fraction(0)] * (k + 1)
     es[0] = Fraction(1)
     for m in range(1, n + 1):
@@ -369,8 +354,7 @@ def elementary_symmetric(seq: WeightSequence, n: int, k: int) -> list[Fraction]:
 
 def complete_homogeneous(seq: WeightSequence, n: int, k: int) -> list[Fraction]:
     """h_0, ..., h_k of a_1..a_n (all multisets; theta at t=1)."""
-    if n < 0 or k < 0:
-        raise ValueError("complete_homogeneous needs n, k >= 0")
+    _validate_nk(n, k, nmin=0)
     hs = [Fraction(0)] * (k + 1)
     hs[0] = Fraction(1)
     for m in range(1, n + 1):
@@ -467,10 +451,7 @@ def zeta_star_ones(n: int, k: int) -> Fraction:
     multiple_harmonic(n, (1,)*k), computed as H'_k / L^k by the integer
     e/h kernel with L = lcm(1..n).
     """
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < 0 or k < 0:
-        raise ValueError("zeta_star_ones needs n, k >= 0")
+    _validate_nk(n, k, nmin=0)
     scale, ints = _scaled_weights(ZetaWeights(1), n)
     return Fraction(_homogeneous_scaled(ints, k)[k], scale**k)
 
@@ -713,9 +694,11 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
     """theta for the untruncated reciprocal-power weights 1/j^m, even m.
 
     Every coefficient is homogeneous of weight m*k/2 in the pi^2 grading, so
-    the Newton ladder runs over GradedValue coefficients with
-    alpha_j(t) = zeta(m j) (t^j - (t-1)^j).  Returns the polynomial in t
-    (GradedValue coefficients), or its value at rational t0 when given.
+    Newton's identities run over GradedValue scalars on the power sums
+    p_j = zeta(m j): about k^2 products give h_a = zeta*({m}_a) and
+    e_j = zeta({m}_j), and k + 1 more the Bernstein coefficients
+    h_a e_{k-a} of rung k.  Returns the polynomial in t (GradedValue
+    coefficients), or its value at rational t0 when given.
     """
     _require_int("m", m)
     _require_int("k", k)
@@ -725,8 +708,8 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
         raise ValueError("theta_infinite_zeta needs k >= 0")
     zetas = [None] + [GradedValue(m * j // 2, zeta_even_coeff(m * j // 2))
                       for j in range(1, k + 1)]
-    ladder = _newton_ladder(zetas, k, GradedValue(0, 1), operator.truediv)
-    result = Poly(_bernstein_to_power(ladder[k]))
+    hs, es = _newton_eh(zetas, k, GradedValue(0, 1), operator.truediv)
+    result = Poly(_bernstein_to_power(_bernstein_terms(hs, es, k)))
     if t0 is None:
         return result
     value = result(Fraction(t0))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational, parse_rational
+from .exact import _require_int, format_rational, parse_rational
 
 __all__ = [
     "WeightConfigError",
@@ -137,17 +137,18 @@ class CustomWeights(WeightSequence):
 
 def weight_at(seq: WeightSequence, m: int) -> Fraction:
     """a_m, validating the index."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"weight index must be an integer >= 1, got {m!r}")
+    _require_int("weight index", m)
+    if m < 1:
+        raise ValueError(f"weight index must be >= 1, got {m!r}")
     return seq.term(m)
 
 
 def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:
     """sum_{m=1}^{n} a_m**j as a Fraction, summed term by term."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"power_sum needs n >= 0, got {n!r}")
-    if not isinstance(j, int) or j < 1:
-        raise ValueError(f"power_sum needs j >= 1, got {j!r}")
+    _require_int("n", n)
+    _require_int("j", j)
+    if n < 0 or j < 1:
+        raise ValueError(f"power_sum needs n >= 0 and j >= 1, got n={n!r}, j={j!r}")
     upper = seq.upper_index()
     if upper is not None and n > upper:
         raise WeightConfigError(

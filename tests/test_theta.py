@@ -1,6 +1,7 @@
 """The five polynomial constructions and their closed-form relatives."""
 
 import json
+import operator
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -9,20 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztt.distributions import _theta_terms, moments, pmf_from_masses, pmf_moments, s_pmf
+from ztt.distributions import moments, pmf_from_masses, pmf_moments, s_pmf
 from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second, zeta_even_coeff
 from ztt.oracle import theta_bruteforce
 from ztt.theta import (
     ALGORITHMS,
     _bernstein_to_power,
     _divide_exact,
-    _newton_ladder,
+    _elementary_scaled,
+    _homogeneous_scaled,
+    _newton_eh,
+    _newton_identity,
     _power_sums_scaled,
     _scaled_weights,
     GradedValue,
     ThetaPoly,
     closed_form_ones_bivariate,
     complete_homogeneous,
+    elementary_symmetric,
     multiple_harmonic,
     partition_series,
     prodinger_half,
@@ -48,6 +53,8 @@ from ztt.weights import (
     QModifiedWeights,
     WeightConfigError,
     ZetaWeights,
+    power_sum,
+    weight_at,
 )
 
 F = Fraction
@@ -117,6 +124,30 @@ def test_integer_arguments_refuse_bool_and_float():
                  lambda: zeta_star_ones(True, 2)):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: weight_at(LinearWeights(), True),
+    lambda: weight_at(LinearWeights(), 2.0),
+    lambda: power_sum(LinearWeights(), True, 2),
+    lambda: power_sum(LinearWeights(), 3, True),
+    lambda: power_sum(LinearWeights(), 3.0, 2),
+    lambda: theta_bruteforce(OnesWeights(), True, 2),
+    lambda: theta_bruteforce(OnesWeights(), 2.0, 2),
+    lambda: theta_bruteforce(OnesWeights(), 2, True),
+    lambda: elementary_symmetric(OnesWeights(), True, 2),
+    lambda: elementary_symmetric(OnesWeights(), 2.0, 2),
+    lambda: elementary_symmetric(OnesWeights(), 2, 2.0),
+    lambda: complete_homogeneous(OnesWeights(), True, 2),
+    lambda: complete_homogeneous(OnesWeights(), 2.0, 2),
+    lambda: complete_homogeneous(OnesWeights(), 2, True),
+], ids=["weight_at-bool", "weight_at-float", "power_sum-bool-n", "power_sum-bool-j",
+        "power_sum-float-n", "bruteforce-bool-n", "bruteforce-float-n", "bruteforce-bool-k",
+        "e-bool-n", "e-float-n", "e-float-k", "h-bool-n", "h-float-n", "h-bool-k"])
+def test_integer_guard_reaches_weights_oracle_and_references(call):
+    # the one guard of ztt.exact, below every module: bool and float refused
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_support_window():
@@ -295,6 +326,12 @@ def test_infinite_zeta_closed_form_endpoints():
             want = sum(star(a) / factorial(2 * (k - a) + 1) * t**a * (1 - t) ** (k - a)
                        for a in range(k + 1))
             assert theta_infinite_zeta(2, k, t) == GradedValue(k, want), (t, k)
+    # the two Newton identities on p_j = zeta(2j) give the endpoints themselves
+    zetas = [None] + [GradedValue(j, zeta_even_coeff(j)) for j in range(1, 13)]
+    hs, es = _newton_eh(zetas, 12, GradedValue(0, 1), operator.truediv)
+    for a in range(13):
+        assert hs[a] == GradedValue(a, star(a)), a
+        assert es[a] == GradedValue(a, F(1, factorial(2 * a + 1))), a
 
 
 def test_infinite_zeta_pinned():
@@ -388,25 +425,42 @@ def test_newton_ladder_edges():
         assert theta_newton(seq, 2, 0).coefficients == (F(1),)
 
 
-def test_newton_ladder_refuses_inexact_division():
-    # rung 1 is P_1 = P_1 ((1-t) + t), Bernstein coefficients [P_1, P_1];
-    # P_1 = 1 and P_2 = 2 give 2 * theta_2 = -(1-t)^2 + 2t(1-t) + 3t^2 = -1 + 4t,
+def test_newton_identity_refuses_inexact_division():
+    # X_1 = P_1 = 1; P_1 = 1 and P_2 = 2 give 2 X_2 = P_1 X_1 + P_2 X_0 = 3,
     # odd over the integers
-    assert _newton_ladder([None, 1], 1, 1, _divide_exact) == [[1], [1, 1]]
+    assert _newton_identity([None, 1], 1, 1, _divide_exact) == [1, 1]
     with pytest.raises(ArithmeticError, match="not divisible by 2"):
-        _newton_ladder([None, 1, 2], 2, 1, _divide_exact)
+        _newton_identity([None, 1, 2], 2, 1, _divide_exact)
 
 
 @settings(max_examples=25, deadline=None)
 @given(_random_weights(12), st.integers(0, 10))
-def test_newton_ladder_equals_eh_bernstein_terms(vals, k):
-    # rung k of the power-sum ladder and the e/h kernel's Bernstein
-    # coefficients L^k h_a e_{k-a} are two routes to the same integers
+def test_newton_identities_equal_eh_recurrences(vals, k):
+    # Newton's identities on the power sums and the direct e/h recurrences
+    # are two routes to the same integers H'_j = L^j h_j and E'_j = L^j e_j
     seq = CustomWeights(tuple(vals))
     n = len(vals)
     _, ints = _scaled_weights(seq, n)
-    ladder = _newton_ladder(_power_sums_scaled(ints, k), k, 1, _divide_exact)
-    assert ladder[k] == _theta_terms(seq, n, k), vals
+    hs, es = _newton_eh(_power_sums_scaled(ints, k), k, 1, _divide_exact)
+    assert hs == _homogeneous_scaled(ints, k), vals
+    assert es == _elementary_scaled(ints, k), vals
+
+
+@settings(max_examples=25, deadline=None)
+@given(_random_weights(8), st.integers(0, 12))
+def test_newton_ladder_satisfies_coupled_recurrence(vals, k):
+    # the paper's recurrence i theta_i = sum_j p_j (t^j - (t-1)^j) theta_{i-j},
+    # on the Fraction power sums, holds for every rung as a Poly identity
+    seq = CustomWeights(tuple(vals))
+    n = len(vals)
+    ladder = theta_newton_ladder(seq, n, k)
+    alpha, shifted = [None], Poly.one()
+    for j in range(1, k + 1):
+        shifted = shifted * Poly([-1, 1])
+        alpha.append(power_sum(seq, n, j) * (Poly.monomial(1, j) - shifted))
+    for i in range(1, k + 1):
+        rhs = sum((alpha[j] * ladder[i - j] for j in range(1, i + 1)), Poly())
+        assert i * ladder[i] == rhs, (vals, i)
 
 
 @settings(max_examples=40, deadline=None)
