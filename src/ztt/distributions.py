@@ -185,8 +185,7 @@ def _fms_to_report(fms: Sequence[Fraction], s_max: int) -> MomentReport:
 
 def pmf_moments(pmf: Pmf, s_max: int = 2) -> MomentReport:
     """Exact factorial moments of a Pmf; variance via fm2 + mean - mean^2."""
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _require_int("s_max", s_max, 1)
     fms = []
     for s in range(1, max(2, s_max) + 1):
         fms.append(sum((falling_factorial(j, s) * p for j, p in pmf.items()), Fraction(0)))
@@ -230,8 +229,7 @@ def moments(seq: WeightSequence, n: int, k: int, s_max: int = 2) -> MomentReport
     multiplications; one Fraction per moment.
     """
     _validate_nk(n, k, kmin=1)
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _require_int("s_max", s_max, 1)
     terms = _theta_terms(seq, n, k)
     fms = []
     for s in range(1, max(2, s_max) + 1):
@@ -248,8 +246,7 @@ def multiset_sigma_closed_moments(n: int, k: int, s_max: int = 2) -> MomentRepor
     variance = k(k-1) n(n-1) / ((n+k-1)^2 (n+k-2)).
     """
     _validate_nk(n, k, kmin=1)
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _require_int("s_max", s_max, 1)
     mean = Fraction(k * (k - 1), n + k - 1)
     if n + k > 2:
         variance = Fraction(k * (k - 1) * n * (n - 1), (n + k - 1) ** 2 * (n + k - 2))
@@ -269,6 +266,9 @@ def multiset_sigma_closed_moments(n: int, k: int, s_max: int = 2) -> MomentRepor
 
 def hypergeom_pmf(total: int, marked: int, draws: int) -> Pmf:
     """Hy(N, K, n): successes drawing n without replacement from N with K marked."""
+    _require_int("N", total)
+    _require_int("K", marked)
+    _require_int("n", draws)
     if not (0 <= marked <= total and 0 <= draws <= total):
         raise ValueError("hypergeometric needs 0 <= K <= N and 0 <= n <= N")
     lo = max(0, draws + marked - total)
@@ -281,10 +281,12 @@ def hypergeom_pmf(total: int, marked: int, draws: int) -> Pmf:
 
 
 def hypergeom_moments(total: int, marked: int, draws: int, s_max: int = 2) -> MomentReport:
+    _require_int("N", total)
+    _require_int("K", marked)
+    _require_int("n", draws)
     if not (0 <= marked <= total and 0 <= draws <= total) or total < 1:
         raise ValueError("hypergeometric needs 0 <= K <= N and 0 <= n <= N, N >= 1")
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _require_int("s_max", s_max, 1)
     fms = []
     for s in range(1, max(2, s_max) + 1):
         den = falling_factorial(total, s)
@@ -302,10 +304,8 @@ def marginal_mass(n: int, k: int, j: int) -> Fraction:
     least one other).  The support is 0..k-1; beyond it the binomials would
     reflect to nonzero values, so j >= k returns 0.
     """
-    if n < 2 or k < 1:
-        raise ValueError("marginal laws need n >= 2 and k >= 1")
-    if j < 0:
-        raise ValueError("support point must be >= 0")
+    _validate_nk(n, k, kmin=1, nmin=2)
+    _require_int("j", j, 0)
     if j >= k:
         return Fraction(0)
     denom = binomial(n + k - 1, k)
@@ -317,8 +317,7 @@ def marginal_mass(n: int, k: int, j: int) -> Fraction:
 
 
 def marginal_pmf(n: int, k: int) -> Pmf:
-    if n < 2 or k < 1:
-        raise ValueError("marginal laws need n >= 2 and k >= 1")
+    _validate_nk(n, k, kmin=1, nmin=2)
     denom = binomial(n + k - 1, k)
     masses = [marginal_mass(n, k, j) * denom for j in range(k)]
     return pmf_from_masses(0, masses)
@@ -329,10 +328,8 @@ def marginal_moments(n: int, k: int, s_max: int = 2) -> MomentReport:
 
         fm_s = s! (k)_{s+1} / ((n+k-1) (n+s-1)_s).
     """
-    if n < 2 or k < 1:
-        raise ValueError("marginal laws need n >= 2 and k >= 1")
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _validate_nk(n, k, kmin=1, nmin=2)
+    _require_int("s_max", s_max, 1)
     fms = [
         Fraction(math.factorial(s) * falling_factorial(k, s + 1),
                  (n + k - 1) * falling_factorial(n + s - 1, s))
@@ -344,8 +341,7 @@ def marginal_moments(n: int, k: int, s_max: int = 2) -> MomentReport:
 def marginal_p0_closed(n: int, k: int) -> Fraction:
     """P{sigma^(i)=0} as [C(n+k-2,k) + C(n+k-3,k-1)] / C(n+k-1,k); equals
     marginal_mass(n, k, 0)."""
-    if n < 2 or k < 1:
-        raise ValueError("marginal laws need n >= 2 and k >= 1")
+    _validate_nk(n, k, kmin=1, nmin=2)
     return Fraction(binomial(n + k - 2, k) + binomial(n + k - 3, k - 1),
                     binomial(n + k - 1, k))
 
@@ -354,8 +350,7 @@ def marginal_p0_variant(n: int, k: int) -> Fraction:
     """An alternative closed form for P{sigma^(i)=0} that disagrees with
     enumeration (already at n=3, k=2: it gives 2/3 where the true mass is
     5/6).  Kept callable so the discrepancy stays pinned down by tests."""
-    if n < 2 or k < 1:
-        raise ValueError("marginal laws need n >= 2 and k >= 1")
+    _validate_nk(n, k, kmin=1, nmin=2)
     return Fraction(binomial(n - 2 + k, k) + binomial(n - 3 + k, k),
                     binomial(n + k - 1, k))
 
@@ -367,7 +362,8 @@ def marginal_zeta_pgf(n: int, k: int, i: int, t0) -> Fraction:
     t=1 endpoint value.
     """
     _validate_nk(n, k, kmin=1)
-    if not 1 <= i <= n:
+    _require_int("i", i, 1)
+    if i > n:
         raise ValueError("tracked value i must satisfy 1 <= i <= n")
     tvec = [Fraction(1)] * n
     tvec[i - 1] = t0
@@ -397,8 +393,8 @@ def d_n_pmf(n: int, exponent: int) -> Pmf:
     multiple harmonic value over n-1 divided by n; for exponent 2 the
     factorial moments are s! times the depth-s {2}-indexed value over n.
     """
-    if n < 1:
-        raise ValueError("needs n >= 1")
+    _require_int("n", n, 1)
+    _require_int("exponent", exponent)
     if exponent not in (1, 2):
         raise ValueError("exponent must be 1 or 2")
     return bernoulli_sum_pmf([Fraction(1, j**exponent) for j in range(1, n + 1)])
@@ -464,12 +460,8 @@ def truncated_mzv_numeric(indices: Sequence[int], n_trunc: int) -> tuple:
     """
     idx = tuple(indices)
     for i in idx:
-        _require_int("every index", i)
-    _require_int("n_trunc", n_trunc)
-    if any(i < 2 for i in idx):
-        raise ValueError("needs all indices >= 2 for convergence")
-    if n_trunc < 10:
-        raise ValueError("needs n_trunc >= 10")
+        _require_int("every index", i, 2)
+    _require_int("n_trunc", n_trunc, 10)
     truncated = _mzv_dp_float(idx, n_trunc)
     value, err = 1.0, 0.0
     for j in range(len(idx) - 1, -1, -1):
@@ -496,9 +488,7 @@ def s_infinity_2_exact(k: int) -> Pmf:
     Every theta coefficient is a rational multiple of the same power of
     pi^2, so the normalized masses are exact rationals.
     """
-    _require_int("k", k)
-    if k < 1:
-        raise ValueError("needs k >= 1")
+    _require_int("k", k, 1)
     poly = theta_infinite_zeta(2, k)
     masses = []
     for j in range(k):
@@ -596,12 +586,8 @@ def s_infinity_2_pmf(k: int, n_trunc: int = 100000) -> FloatPmf:
     so memory stays flat in n_trunc.  Independent of the graded-exact route,
     which tests use to cross-check it.
     """
-    _require_int("k", k)
-    _require_int("n_trunc", n_trunc)
-    if k < 1:
-        raise ValueError("needs k >= 1")
-    if n_trunc < 1000:
-        raise ValueError("needs n_trunc >= 1000")
+    _require_int("k", k, 1)
+    _require_int("n_trunc", n_trunc, 1000)
     if k == 1:
         return FloatPmf(0, (1.0,), 0.0)
     values, bounds = _s_infinity_2_depths(k, n_trunc)
@@ -622,8 +608,8 @@ def sum_theorem_pmf(n: int, k: int) -> Pmf:
     Splitting a depth-n block structure out of k slots; masses sum to 1 by
     the hockey-stick identity.
     """
-    if not 1 <= n < k:
-        raise ValueError("needs k > n >= 1")
+    _require_int("n", n, 1)
+    _require_int("k", k, n + 1)
     masses = [Fraction(binomial(k - n + i - 1, k - n - 1)) for i in range(n)]
     return pmf_from_masses(0, masses)
 
@@ -641,8 +627,8 @@ def bernstein_pgf(n: int, k: int) -> Poly:
     _bernstein_to_power turns the integers C(k-1, j) into the monomial
     basis, and each coefficient is divided by C(k-1, n-1).
     """
-    if not 1 <= n < k:
-        raise ValueError("needs k > n >= 1")
+    _require_int("n", n, 1)
+    _require_int("k", k, n + 1)
     denom = binomial(k - 1, n - 1)
     coeffs = _bernstein_to_power([binomial(k - 1, j) for j in range(n)])
     return Poly(Fraction(c, denom) for c in coeffs)
@@ -650,8 +636,8 @@ def bernstein_pgf(n: int, k: int) -> Poly:
 
 def bezier_coeffs(n: int, k: int) -> tuple:
     """Bezier coefficients of the sum-theorem pgf: beta_j = 1 / C(k-1-j, k-n)."""
-    if not 1 <= n < k:
-        raise ValueError("needs k > n >= 1")
+    _require_int("n", n, 1)
+    _require_int("k", k, n + 1)
     return tuple(Fraction(1, binomial(k - 1 - j, k - n)) for j in range(n))
 
 
@@ -674,8 +660,7 @@ def poisson_pmf(lam: float, cutoff: int) -> FloatPmf:
     """Po(lam) masses e^-lam lam^j / j! for j = 0..cutoff."""
     if lam <= 0:
         raise ValueError("needs lam > 0")
-    if cutoff < 0:
-        raise ValueError("needs cutoff >= 0")
+    _require_int("cutoff", cutoff, 0)
     masses = []
     m = math.exp(-lam)
     for j in range(cutoff + 1):
@@ -686,12 +671,10 @@ def poisson_pmf(lam: float, cutoff: int) -> FloatPmf:
 
 def negbin_pmf(r: int, rho: float, cutoff: int) -> FloatPmf:
     """NegBin(r, rho) masses C(j+r-1, j) (1-rho)^r rho^j for j = 0..cutoff."""
-    if r < 1:
-        raise ValueError("needs r >= 1")
+    _require_int("r", r, 1)
     if not 0 < rho < 1:
         raise ValueError("needs 0 < rho < 1")
-    if cutoff < 0:
-        raise ValueError("needs cutoff >= 0")
+    _require_int("cutoff", cutoff, 0)
     masses = [
         binomial(j + r - 1, j) * (1 - rho) ** r * rho**j for j in range(cutoff + 1)
     ]
@@ -704,8 +687,7 @@ def geometric_modified_pmf(c, cutoff: int) -> tuple:
     c = Fraction(c)
     if c <= 0:
         raise ValueError("needs c > 0")
-    if cutoff < 0:
-        raise ValueError("needs cutoff >= 0")
+    _require_int("cutoff", cutoff, 0)
     out = [Fraction(1, 1) / (1 + c) + c / (1 + c) ** 2]
     for j in range(1, cutoff + 1):
         out.append(c ** (j + 1) / (1 + c) ** (j + 2))
@@ -718,8 +700,7 @@ def beta_moments(alpha, beta, s_max: int) -> tuple:
     beta = Fraction(beta)
     if alpha <= 0 or beta <= 0:
         raise ValueError("needs alpha, beta > 0")
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
+    _require_int("s_max", s_max, 1)
     return tuple(
         falling_factorial(alpha + s - 1, s) / falling_factorial(alpha + beta + s - 1, s)
         for s in range(1, s_max + 1)
@@ -870,4 +851,6 @@ def limit_scan(regime: str, grid: Sequence[int] | None = None) -> list:
     pts = DEFAULT_GRIDS[regime] if grid is None else tuple(grid)
     if not pts:
         raise ValueError("grid must be non-empty")
-    return [_SCANNERS[regime](int(p)) for p in pts]
+    for p in pts:
+        _require_int("grid point", p)
+    return [_SCANNERS[regime](p) for p in pts]

@@ -36,21 +36,19 @@ _MAX_LITERAL_DIGITS = 1000
 _MAX_LITERAL_EXPONENT = 1000
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, minimum: int | None = None) -> None:
     """The one integer guard of the entry points: ValueError for anything
-    but an int."""
+    but an int, and for an int below minimum when a minimum is given."""
     # bool is an int subclass, and a float would be floored by int(); refuse both
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"needs {name} >= {minimum}, got {value!r}")
 
 
 def _validate_nk(n: int, k: int, kmin: int = 0, nmin: int = 1) -> None:
-    _require_int("n", n)
-    _require_int("k", k)
-    if n < nmin:
-        raise ValueError(f"needs n >= {nmin}, got {n!r}")
-    if k < kmin:
-        raise ValueError(f"needs k >= {kmin}, got {k!r}")
+    _require_int("n", n, nmin)
+    _require_int("k", k, kmin)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,7 +11,7 @@ import os
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import Poly, _validate_nk, binomial
+from .exact import Poly, _require_int, _validate_nk, binomial
 from .weights import WeightSequence, weight_at
 
 __all__ = [
@@ -126,8 +126,7 @@ def shape(ms: Sequence[int]) -> tuple[int, ...]:
 
 def compositions(k: int) -> Iterator[tuple[int, ...]]:
     """All 2**(k-1) compositions of k, in lexicographic order."""
-    if k < 0:
-        raise ValueError("compositions needs k >= 0")
+    _require_int("k", k, 0)
 
     def rec(remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -202,9 +201,9 @@ def theta_marginal_bruteforce(
     """Poly in t whose coefficient j is the total weight of multisets whose
     adjacency count at the single value i equals j.  Ground truth for the
     per-value marginal laws."""
-    if n < 1 or k < 0:
-        raise ValueError("theta_marginal_bruteforce needs n >= 1 and k >= 0")
-    if not 1 <= i <= n:
+    _validate_nk(n, k)
+    _require_int("i", i, 1)
+    if i > n:
         raise ValueError("tracked value i must satisfy 1 <= i <= n")
     _check_budget(n, k, budget)
     terms = [weight_at(seq, m) for m in range(1, n + 1)]

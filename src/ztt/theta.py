@@ -422,14 +422,10 @@ def multiple_harmonic(n: int, indices: Sequence[int]) -> Fraction:
 
     Empty index list gives 1; depth exceeding n gives 0.
     """
-    _require_int("n", n)
-    if n < 0:
-        raise ValueError("multiple_harmonic needs n >= 0")
+    _require_int("n", n, 0)
     idx = tuple(indices)
     for i in idx:
-        _require_int("every index", i)
-    if any(i < 1 for i in idx):
-        raise ValueError("multiple_harmonic indices must be integers >= 1")
+        _require_int("every index", i, 1)
     if not idx:
         return Fraction(1)
     if len(idx) > n:
@@ -495,9 +491,7 @@ def prodinger_half(n: int, k: int) -> Fraction:
     Independent of zeta_t_ones (no generalized binomials), so the two
     cross-check each other.
     """
-    _validate_nk(n, k)
-    if k == 0:
-        raise ValueError("prodinger_half needs k >= 1")
+    _validate_nk(n, k, kmin=1)
     total = Fraction(0)
     for j in range(1, n + 1):
         term = Fraction(binomial(n, j) * binomial(n + j, j), 2**k * j**k)
@@ -516,9 +510,7 @@ def theta_ordered_partitions(m: int, n: int, k: int) -> ThetaPoly:
 
     where the first part of p is the multiplicity of the largest value.
     """
-    _require_int("m", m)
-    if m < 1:
-        raise ValueError("theta_ordered_partitions needs an integer m >= 1")
+    _require_int("m", m, 1)
     _validate_nk(n, k)
     coeffs = [Fraction(0)] * max(k, 1)
     if k == 0:
@@ -583,8 +575,8 @@ def partition_series(n: int, limit: int) -> tuple[int, ...]:
     Entry p counts partitions of p into parts of size at most n; for n=1 and
     t=q this is also the coefficient ladder of the one-weight q-theta.
     """
-    if n < 0 or limit < 0:
-        raise ValueError("partition_series needs n, limit >= 0")
+    _require_int("n", n, 0)
+    _require_int("limit", limit, 0)
     counts = [0] * (limit + 1)
     counts[0] = 1
     for m in range(1, n + 1):
@@ -605,8 +597,7 @@ class GradedValue:
     __slots__ = ("weight", "coeff")
 
     def __init__(self, weight: int, coeff):
-        if not isinstance(weight, int) or weight < 0:
-            raise ValueError("graded weight must be an integer >= 0")
+        _require_int("graded weight", weight, 0)
         self.weight = weight
         self.coeff = Fraction(coeff)
 
@@ -701,11 +692,9 @@ def theta_infinite_zeta(m: int, k: int, t0=None):
     coefficients), or its value at rational t0 when given.
     """
     _require_int("m", m)
-    _require_int("k", k)
+    _require_int("k", k, 0)
     if m < 2 or m % 2:
         raise ValueError("theta_infinite_zeta supports even integer m >= 2 only")
-    if k < 0:
-        raise ValueError("theta_infinite_zeta needs k >= 0")
     zetas = [None] + [GradedValue(m * j // 2, zeta_even_coeff(m * j // 2))
                       for j in range(1, k + 1)]
     hs, es = _newton_eh(zetas, k, GradedValue(0, 1), operator.truediv)

@@ -75,7 +75,7 @@ class ZetaWeights(WeightSequence):
     order: int
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
             raise WeightConfigError("zeta weights need an integer order >= 1")
 
     def term(self, m: int) -> Fraction:

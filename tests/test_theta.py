@@ -10,9 +10,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ztt.distributions import moments, pmf_from_masses, pmf_moments, s_pmf
+from ztt.distributions import (
+    bezier_coeffs,
+    d_n_pmf,
+    hypergeom_moments,
+    hypergeom_pmf,
+    limit_scan,
+    marginal_mass,
+    marginal_moments,
+    marginal_pmf,
+    marginal_zeta_pgf,
+    moments,
+    negbin_pmf,
+    pmf_from_masses,
+    pmf_moments,
+    poisson_pmf,
+    s_pmf,
+    sum_theorem_pmf,
+)
 from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second, zeta_even_coeff
-from ztt.oracle import theta_bruteforce
+from ztt.oracle import compositions, theta_bruteforce, theta_marginal_bruteforce
 from ztt.theta import (
     ALGORITHMS,
     _bernstein_to_power,
@@ -141,12 +158,53 @@ def test_integer_arguments_refuse_bool_and_float():
     lambda: complete_homogeneous(OnesWeights(), True, 2),
     lambda: complete_homogeneous(OnesWeights(), 2.0, 2),
     lambda: complete_homogeneous(OnesWeights(), 2, True),
+    lambda: partition_series(True, 3),
+    lambda: marginal_pmf(3, True),
+    lambda: marginal_mass(3, 2, True),
+    lambda: moments(OnesWeights(), 3, 2, True),
+    lambda: d_n_pmf(True, 1),
+    lambda: d_n_pmf(3, True),
+    lambda: sum_theorem_pmf(True, 3),
+    lambda: bezier_coeffs(True, 3),
+    lambda: negbin_pmf(True, 0.5, 3),
+    lambda: theta_marginal_bruteforce(OnesWeights(), 3, 2, True),
+    lambda: marginal_zeta_pgf(3, 2, True, 0),
+    lambda: list(compositions(True)),
+    lambda: GradedValue(True, 1),
+    lambda: moments(OnesWeights(), 3, 2, 2.0),
+    lambda: pmf_moments(pmf_from_masses(0, [1, 1]), 2.0),
+    lambda: marginal_moments(3, 2, 2.0),
+    lambda: hypergeom_moments(4, 2, 2, 2.0),
+    lambda: poisson_pmf(1.0, 2.5),
+    lambda: limit_scan("dn_zeta1", [10.7]),
+    lambda: hypergeom_pmf(4, True, 2),
 ], ids=["weight_at-bool", "weight_at-float", "power_sum-bool-n", "power_sum-bool-j",
         "power_sum-float-n", "bruteforce-bool-n", "bruteforce-float-n", "bruteforce-bool-k",
-        "e-bool-n", "e-float-n", "e-float-k", "h-bool-n", "h-float-n", "h-bool-k"])
+        "e-bool-n", "e-float-n", "e-float-k", "h-bool-n", "h-float-n", "h-bool-k",
+        "partition_series-bool-n", "marginal_pmf-bool-k", "marginal_mass-bool-j",
+        "moments-bool-smax", "d_n_pmf-bool-n", "d_n_pmf-bool-exponent",
+        "sum_theorem-bool-n", "bezier-bool-n", "negbin-bool-r",
+        "marginal_bruteforce-bool-i", "marginal_zeta_pgf-bool-i", "compositions-bool-k",
+        "graded-bool-weight", "moments-float-smax", "pmf_moments-float-smax",
+        "marginal_moments-float-smax", "hypergeom_moments-float-smax",
+        "poisson-float-cutoff", "limit_scan-float-point", "hypergeom_pmf-bool-K"])
 def test_integer_guard_reaches_weights_oracle_and_references(call):
     # the one guard of ztt.exact, below every module: bool and float refused
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: moments(OnesWeights(), 3, 2, 0), "needs s_max >= 1, got 0"),
+    (lambda: sum_theorem_pmf(3, 3), "needs k >= 4, got 3"),
+    (lambda: marginal_pmf(1, 2), "needs n >= 2, got 1"),
+    (lambda: theta_marginal_bruteforce(OnesWeights(), 0, 2, 1), "needs n >= 1, got 0"),
+    (lambda: multiple_harmonic(3, (0,)), "needs every index >= 1, got 0"),
+], ids=["moments-smax", "sum_theorem-k", "marginal-n", "marginal_bruteforce-n",
+        "multiple_harmonic-index"])
+def test_integer_guard_range_message(call, message):
+    # the lower bound is the guard's too, and its message names it
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 

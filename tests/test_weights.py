@@ -54,6 +54,13 @@ def test_zeta_order_validation():
         ZetaWeights("2")
 
 
+def test_zeta_order_refuses_bool():
+    # True would compute with order 1 and write {"m": true}, which
+    # parse_weight_config refuses, so the config round trip would break
+    with pytest.raises(WeightConfigError):
+        ZetaWeights(True)
+
+
 def test_custom_validation():
     with pytest.raises(WeightConfigError):
         CustomWeights(())
