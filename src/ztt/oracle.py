@@ -1,12 +1,19 @@
 """Brute-force ground truth by explicit multiset enumeration.
 
-Everything here is deliberately naive: walk every weakly decreasing k-tuple
+The enumeration is deliberately naive: walk every weakly decreasing k-tuple
 over {1..n}, read off its statistics, and accumulate.  The fast algorithms
 elsewhere are tested against these sums, never the other way around.
+
+Only the arithmetic is not naive.  The weights are read once and scaled to
+the integers b_m = L*a_m, L the lcm of their denominators; each multiset
+adds the integer product of its b's into a bucket keyed by its statistic,
+and each output value is built as one Fraction at the end, over L^k.  This
+module shares no code with ztt.theta, whose routes it checks.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -138,6 +145,34 @@ def compositions(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(k, ())
 
 
+def _scaled_terms(seq: WeightSequence, n: int) -> tuple[int, list]:
+    """L, the lcm of the denominators of a_1..a_n, and [None, b_1, ..., b_n]
+    with the integers b_m = L*a_m, indexed by the multiset entries."""
+    terms = [weight_at(seq, m) for m in range(1, n + 1)]
+    scale = math.lcm(*(a.denominator for a in terms))
+    return scale, [None] + [a.numerator * (scale // a.denominator) for a in terms]
+
+
+def _bucket_sums(ints: list, n: int, k: int, key) -> dict:
+    """key(ms) -> sum of the integer products b_v over v in ms, over every
+    multiset ms with that key: L^k times the total weight of the class."""
+    buckets: dict = {}
+    entry = ints.__getitem__
+    for ms in enumerate_multisets(n, k):
+        stat = key(ms)
+        buckets[stat] = buckets.get(stat, 0) + math.prod(map(entry, ms))
+    return buckets
+
+
+def _poly_over(buckets: dict, k: int, denominator: int) -> Poly:
+    """The polynomial whose coefficient j is buckets[j] / denominator: one
+    Fraction per coefficient."""
+    coeffs = [0] * max(k, 1)
+    for j, w in buckets.items():
+        coeffs[j] += w
+    return Poly([Fraction(c, denominator) for c in coeffs])
+
+
 def theta_bruteforce(
     seq: WeightSequence,
     n: int,
@@ -154,40 +189,47 @@ def theta_bruteforce(
     returned.  With q each multiset weight also picks up q**p_norm and the
     result is again a polynomial in t.
 
+    Each multiset adds the integer product of its b_m = L*a_m into a bucket
+    keyed by its statistic: sigma; (sigma, p_norm) for q; the sigma_refined
+    tuple for tvec.  Every output value is one Fraction over L^k.
+
     Refuses to enumerate when the multiset count exceeds the budget
-    (default 10**7, overridable via ZTT_BUDGET or the budget argument).
+    (default 10**7, overridable via ZTT_BUDGET or the budget argument);
+    the arguments are checked first.
     """
     _validate_nk(n, k)
     if tvec is not None and q is not None:
         raise ValueError("tvec and q refinements are mutually exclusive")
-    _check_budget(n, k, budget)
-    terms = [weight_at(seq, m) for m in range(1, n + 1)]
-
-    if tvec is not None:
-        ts = [Fraction(t) for t in tvec]
-        if len(ts) != n:
-            raise ValueError(f"tvec needs one entry per weight index (expected {n})")
-        total = Fraction(0)
-        for ms in enumerate_multisets(n, k):
-            w = Fraction(1)
-            for v in ms:
-                w *= terms[v - 1]
-            for i, c in enumerate(sigma_refined(ms, n)):
-                if c:
-                    w *= ts[i] ** c
-            total += w
-        return total
-
+    ts = None if tvec is None else [Fraction(t) for t in tvec]
+    if ts is not None and len(ts) != n:
+        raise ValueError(f"tvec needs one entry per weight index (expected {n})")
     qv = None if q is None else Fraction(q)
-    coeffs = [Fraction(0)] * max(k, 1)
-    for ms in enumerate_multisets(n, k):
-        w = Fraction(1)
-        for v in ms:
-            w *= terms[v - 1]
-        if qv is not None:
-            w *= qv ** p_norm(ms)
-        coeffs[sigma(ms)] += w
-    return Poly(coeffs)
+    _check_budget(n, k, budget)
+    scale, ints = _scaled_terms(seq, n)
+
+    if ts is not None:
+        # t_i = s_i / T; sigma <= top, so T^top prod t_i^c_i is an integer
+        tscale = math.lcm(*(t.denominator for t in ts))
+        svec = [t.numerator * (tscale // t.denominator) for t in ts]
+        top = max(k - 1, 0)
+        total = 0
+        for counts, w in _bucket_sums(ints, n, k, lambda ms: sigma_refined(ms, n)).items():
+            w *= tscale ** (top - sum(counts))
+            for s, c in zip(svec, counts):
+                if c:
+                    w *= s**c
+            total += w
+        return Fraction(total, tscale**top * scale**k)
+
+    if qv is None:
+        return _poly_over(_bucket_sums(ints, n, k, sigma), k, scale**k)
+    # q = u / v; p_norm <= n*k, so v^(n*k) q^p is an integer
+    u, v = qv.numerator, qv.denominator
+    top = n * k
+    by_sigma: dict = {}
+    for (j, p), w in _bucket_sums(ints, n, k, lambda ms: (sigma(ms), p_norm(ms))).items():
+        by_sigma[j] = by_sigma.get(j, 0) + w * u**p * v ** (top - p)
+    return _poly_over(by_sigma, k, v**top * scale**k)
 
 
 def theta_marginal_bruteforce(
@@ -200,17 +242,12 @@ def theta_marginal_bruteforce(
 ) -> Poly:
     """Poly in t whose coefficient j is the total weight of multisets whose
     adjacency count at the single value i equals j.  Ground truth for the
-    per-value marginal laws."""
+    per-value marginal laws; the buckets are keyed by that count."""
     _validate_nk(n, k)
     _require_int("i", i, 1)
     if i > n:
         raise ValueError("tracked value i must satisfy 1 <= i <= n")
     _check_budget(n, k, budget)
-    terms = [weight_at(seq, m) for m in range(1, n + 1)]
-    coeffs = [Fraction(0)] * max(k, 1)
-    for ms in enumerate_multisets(n, k):
-        w = Fraction(1)
-        for v in ms:
-            w *= terms[v - 1]
-        coeffs[sigma_refined(ms, n)[i - 1]] += w
-    return Poly(coeffs)
+    scale, ints = _scaled_terms(seq, n)
+    buckets = _bucket_sums(ints, n, k, lambda ms: sigma_refined(ms, n)[i - 1])
+    return _poly_over(buckets, k, scale**k)

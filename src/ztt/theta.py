@@ -21,9 +21,12 @@ Five structurally different constructions of the same polynomial live here:
 
 They must agree coefficientwise; the redundancy is the testing strategy.
 A sixth route (theta_partial_fraction) evaluates at a fixed t by partial
-fractions when the weights are pairwise distinct, and a seventh
-(theta_ordered_partitions) sums truncated multiple zeta values over all
-compositions of k.
+fractions when the weights are pairwise distinct, on the integers D/a_m
+with D the lcm of the weight numerators and one Fraction per pole; a
+seventh (theta_ordered_partitions) sums truncated multiple zeta values over
+all compositions of k.  theta_multi_eval, one t per weight index, runs its
+series product on L*a_m and T*t_m, T the lcm of the t denominators, and
+builds one Fraction at the end.
 
 Four of the five constructions run on integers scaled by L, the lcm of
 the denominators of a_1..a_n, and build one Fraction per coefficient at
@@ -393,6 +396,14 @@ def theta_partial_fraction(seq: WeightSequence, n: int, k: int, t0) -> Fraction:
                   * a_j^(k+1) * t0^k          for k >= 1,
 
     valid for any rational t0 != 0.  k=0 is the empty product, 1.
+
+    The arithmetic runs on integers: with D the lcm of the numerators of
+    a_1..a_n, R_m = D/a_m is an integer, and with (1-t0)/t0 = u/v
+
+      theta(t0) = (-1)^(n-1) t0^k D^k / v^n * sum_j prod_m (u R_j + v R_m)
+                  / (prod_{l != j} (R_j - R_l) * R_j^(k+1)),
+
+    one Fraction per pole.
     """
     _validate_nk(n, k)
     t0 = Fraction(t0)
@@ -403,15 +414,17 @@ def theta_partial_fraction(seq: WeightSequence, n: int, k: int, t0) -> Fraction:
     if not has_distinct_terms(seq, n):
         raise ValueError("theta_partial_fraction needs pairwise distinct weights")
     a = [weight_at(seq, m) for m in range(1, n + 1)]
-    inv = [1 / x for x in a]
-    c = (1 - t0) / t0
+    scale = math.lcm(*(x.numerator for x in a))
+    rs = [x.denominator * (scale // x.numerator) for x in a]
+    # (1 - t0)/t0 = (den - num)/num, already in lowest terms up to sign
+    u, v = t0.denominator - t0.numerator, t0.numerator
     total = Fraction(0)
-    for j, (aj, rj) in enumerate(zip(a, inv)):
-        cj = c * rj
-        num = math.prod((cj + r for r in inv), start=Fraction(1))
-        den = math.prod((rj - r for l, r in enumerate(inv) if l != j), start=Fraction(1))
-        total += num / den * aj ** (k + 1)
-    return (-1) ** (n - 1) * total * t0**k
+    for j, rj in enumerate(rs):
+        num = math.prod(u * rj + v * r for r in rs)
+        den = math.prod(rj - r for l, r in enumerate(rs) if l != j) * rj ** (k + 1)
+        total += Fraction(num, den)
+    return (-1) ** (n - 1) * total * Fraction(t0.numerator**k * scale**k,
+                                              t0.denominator**k * v**n)
 
 
 def multiple_harmonic(n: int, indices: Sequence[int]) -> Fraction:
@@ -529,22 +542,27 @@ def theta_multi_eval(seq: WeightSequence, n: int, k: int, tvec: Sequence) -> Fra
     Each multiset contributes w(m) * prod_i t_i^(adjacent equal pairs of
     value i); the per-value factor only changes factor m of the series
     product, so a scalar truncated convolution suffices.
+
+    The convolution runs on integers: with b_m = L*a_m (_scaled_weights)
+    and s_m = T*t_m, T the lcm of the denominators of the t_m, factor m has
+    coefficients b_m^j s_m^(j-1) T = (L*T)^j a_m^j t_m^(j-1), so [z^k] of
+    the product is (L*T)^k times the value: one Fraction at the end.
     """
     _validate_nk(n, k)
     ts = [Fraction(t) for t in tvec]
     if len(ts) != n:
         raise ValueError(f"tvec needs one entry per weight index (expected {n})")
-    acc = [Fraction(0)] * (k + 1)
-    acc[0] = Fraction(1)
-    for m in range(1, n + 1):
-        a = weight_at(seq, m)
-        tm = ts[m - 1]
-        fac = [Fraction(1)]
-        coef = a
-        for j in range(1, k + 1):
-            fac.append(coef)  # a^j * t_m^(j-1)
-            coef *= a * tm
-        new = [Fraction(0)] * (k + 1)
+    scale, ints = _scaled_weights(seq, n)
+    tscale = math.lcm(*(t.denominator for t in ts))
+    acc = [1] + [0] * k
+    for b, t in zip(ints, ts):
+        s = t.numerator * (tscale // t.denominator)
+        fac = [1]
+        coef = b * tscale
+        for _ in range(k):
+            fac.append(coef)  # b^j * s^(j-1) * T
+            coef *= b * s
+        new = [0] * (k + 1)
         for i, c in enumerate(acc):
             if not c:
                 continue
@@ -552,7 +570,7 @@ def theta_multi_eval(seq: WeightSequence, n: int, k: int, tvec: Sequence) -> Fra
                 if fac[j]:
                     new[i + j] += c * fac[j]
         acc = new
-    return acc[k]
+    return Fraction(acc[k], (scale * tscale) ** k)
 
 
 def theta_qt(seq: WeightSequence, n: int, k: int, q) -> ThetaPoly:

@@ -1,9 +1,11 @@
 """Brute-force enumerator and multiset bookkeeping."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ztt.exact import Poly
 from ztt.oracle import (
@@ -102,6 +104,16 @@ def test_budget_enforcement(monkeypatch):
         oracle_budget()
 
 
+def test_argument_errors_come_before_the_budget():
+    # 40 and 40 give far more multisets than the default budget allows
+    with pytest.raises(ValueError, match="tvec needs one entry per weight index"):
+        theta_bruteforce(OnesWeights(), 40, 40, tvec=(1,))
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        theta_bruteforce(OnesWeights(), 40, 40, tvec=(1,) * 40, q=2)
+    with pytest.raises(ValueError):
+        theta_bruteforce(OnesWeights(), 40, 40, q="junk")
+
+
 def test_nonpositive_budget_argument_refused():
     # refused like a non-positive ZTT_BUDGET, not turned into a budget refusal
     ones = OnesWeights()
@@ -122,3 +134,46 @@ def test_marginal_bruteforce():
         theta_marginal_bruteforce(ones, 3, 2, 4)
     with pytest.raises(BudgetExceededError):
         theta_marginal_bruteforce(ones, 30, 30, 1, budget=100)
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+customs = st.lists(st.builds(F, st.integers(1, 30), st.integers(1, 12)),
+                   min_size=1, max_size=5).map(lambda vs: CustomWeights(tuple(vs)))
+
+
+def _fraction_sums(seq, n, k, key, factor=lambda ms: 1):
+    """key(ms) -> sum of w(ms) * factor(ms) over the multisets, one Fraction
+    product per multiset entry: the oracle's sums written out directly."""
+    a = [None] + [seq.term(m) for m in range(1, n + 1)]
+    out = {}
+    for ms in enumerate_multisets(n, k):
+        w = prod((a[v] for v in ms), start=F(1)) * factor(ms)
+        out[key(ms)] = out.get(key(ms), F(0)) + w
+    return out
+
+
+def _poly_of(sums, k):
+    coeffs = [F(0)] * max(k, 1)
+    for j, w in sums.items():
+        coeffs[j] += w
+    return Poly(coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(customs, st.integers(0, 5), st.data())
+def test_bruteforce_equals_fraction_per_multiset_sums(seq, k, data):
+    n = len(seq.values)
+    assert theta_bruteforce(seq, n, k) == _poly_of(_fraction_sums(seq, n, k, sigma), k)
+
+    q = data.draw(rationals.filter(lambda x: x.denominator > 1), label="q")
+    want = _poly_of(_fraction_sums(seq, n, k, sigma, lambda ms: q ** p_norm(ms)), k)
+    assert theta_bruteforce(seq, n, k, q=q) == want
+
+    tvec = data.draw(st.lists(rationals, min_size=n, max_size=n), label="tvec")
+    refined = lambda ms: prod((t**c for t, c in zip(tvec, sigma_refined(ms, n))), start=F(1))
+    want = sum(_fraction_sums(seq, n, k, lambda ms: 0, refined).values())
+    assert theta_bruteforce(seq, n, k, tvec=tvec) == want
+
+    i = data.draw(st.integers(1, n), label="i")
+    want = _poly_of(_fraction_sums(seq, n, k, lambda ms: sigma_refined(ms, n)[i - 1]), k)
+    assert theta_marginal_bruteforce(seq, n, k, i) == want

@@ -552,3 +552,24 @@ def test_partial_fraction_random_custom():
         poly = theta_newton(seq, 4, 3).poly
         for t0 in (F(1, 2), F(2)):
             assert theta_partial_fraction(seq, 4, 3, t0) == poly(t0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.builds(F, st.integers(1, 60), st.integers(1, 30)),
+                min_size=1, max_size=6, unique=True), st.integers(0, 7))
+def test_partial_fraction_equals_newton_on_random_weights(vals, k):
+    seq = CustomWeights(tuple(vals))
+    n = len(vals)
+    poly = theta_newton(seq, n, k).poly
+    for t0 in (F(-3, 7), F(1, 3), F(1), F(2)):
+        assert theta_partial_fraction(seq, n, k, t0) == poly(t0), (vals, k, t0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_random_weights(5), st.integers(0, 5), st.data())
+def test_multi_eval_equals_oracle_tvec(vals, k, data):
+    seq = CustomWeights(tuple(vals))
+    n = len(vals)
+    tvec = data.draw(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 7)),
+                              min_size=n, max_size=n), label="tvec")
+    assert theta_multi_eval(seq, n, k, tvec) == theta_bruteforce(seq, n, k, tvec=tvec)
