@@ -14,6 +14,7 @@ module shares no code with ztt.theta, whose routes it checks.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -101,7 +102,7 @@ def enumerate_multisets(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def sigma(ms: Sequence[int]) -> int:
     """Number of adjacent equal pairs in the weakly decreasing tuple."""
-    return sum(1 for i in range(len(ms) - 1) if ms[i] == ms[i + 1])
+    return sum(map(operator.eq, ms, ms[1:]))
 
 
 def sigma_refined(ms: Sequence[int], n: int) -> tuple[int, ...]:

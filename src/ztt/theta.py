@@ -38,13 +38,16 @@ on the sign-flipped sums, for E'_i = L^i e_i: about k^2 integer products.
 Rung i of L^i theta in the Bernstein basis t^a (1-t)^(i-a) is then the
 i + 1 products H'_a E'_{i-a} (_bernstein_terms), converted once to powers
 of t (_bernstein_to_power).  theta_product multiplies its series factors
-on L*a_m.  theta_bell and theta_det read the Fraction weights.power_sum and
-take only L, as L^j p_j.  _elementary_scaled and _homogeneous_scaled reach
-E' and H' by a second route, the direct e and h recurrences on L*a_m in
-O(n*k) big-int multiply-adds; the laws in ztt.distributions assemble
-their products with the same _bernstein_terms.  theta_convolution and its
-Fraction elementary_symmetric and complete_homogeneous stay independent of
-every integer route, as the references.
+on L*a_m.  theta_bell and theta_det build the integer polynomials
+L^j alpha_j(t) (_alpha_scaled) from the Fraction weights.power_sum and take
+only L.  theta_det takes its determinant at t = 0..k-1, k integer Bareiss
+runs of about k^3/3 products each (det_exact), and interpolates.
+_elementary_scaled and _homogeneous_scaled reach E' and H' by a second
+route, the direct e and h recurrences on L*a_m in O(n*k) big-int
+multiply-adds; the laws in ztt.distributions assemble their products with
+the same _bernstein_terms.  theta_convolution and its Fraction
+elementary_symmetric and complete_homogeneous stay independent of every
+integer route, as the references.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .exact import (
     Poly,
     Series,
     _require_int,
+    _stirling1_row,
     _validate_nk,
     bell_complete,
     binomial,
@@ -320,27 +324,37 @@ def theta_det(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
 
     M has alpha_{i-j+1}(t) on and below the diagonal and -1, -2, ...,
     -(k-1) on the superdiagonal.  Scaling row i (from 0) by L^(i+1) and
-    column j by L^-j turns alpha_{i-j+1} into the integer alpha'_{i-j+1}
-    (_alpha_scaled), leaves the superdiagonal as it is, and multiplies the
-    determinant by L^k: theta_k is det(M') / (k! L^k).
+    column j by L^-j turns alpha_{i-j+1} into the integer polynomial
+    alpha'_{i-j+1} (_alpha_scaled), leaves the superdiagonal as it is, and
+    multiplies the determinant by L^k: theta_k is det(M') / (k! L^k).
+
+    det M'(t) is an integer polynomial of degree at most k - 1, so it is
+    read off its values at t = 0..k-1: each is det_exact of an integer
+    matrix, k Bareiss runs of about k^3/3 integer products each.  Forward
+    differences of the values give its coefficients d_i in the binomial
+    basis C(t, i) = sum_j s(i, j) t^j / i!, s the signed Stirling numbers
+    of the first kind; over k! every term is an integer, so theta_k has
+    one Fraction per coefficient over k! k! L^k.
     """
     _validate_nk(n, k)
     if k == 0:
         return ThetaPoly(n, k, seq, Poly.one())
     scale, alpha = _alpha_scaled(seq, n, k)
-    rows = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            if j <= i:
-                row.append(alpha[i - j + 1])
-            elif j == i + 1:
-                row.append(Poly.constant(-(i + 1)))
-            else:
-                row.append(Poly.zero())
-        rows.append(row)
-    det = det_exact(rows)
-    return ThetaPoly(n, k, seq, _fraction_poly(det.coeffs, math.factorial(k) * scale**k))
+    values = []
+    for x in range(k):
+        a = [None] + [p(x) for p in alpha[1:]]
+        rows = [[a[i - j + 1] if j <= i else -(i + 1) if j == i + 1 else 0
+                 for j in range(k)] for i in range(k)]
+        values.append(det_exact(rows).numerator)
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    fk = math.factorial(k)
+    diffs = [d * (fk // math.factorial(i)) for i, d in enumerate(diffs)]
+    coeffs = [sum((-1) ** (i - j) * _stirling1_row(i)[j] * diffs[i] for i in range(j, k))
+              for j in range(k)]
+    return ThetaPoly(n, k, seq, _fraction_poly(coeffs, fk * fk * scale**k))
 
 
 def elementary_symmetric(seq: WeightSequence, n: int, k: int) -> list[Fraction]:

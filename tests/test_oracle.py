@@ -43,6 +43,7 @@ def test_sigma_and_shape():
     assert sigma((3, 3, 2, 2, 2, 1)) == 3
     assert sigma((4, 3, 2, 1)) == 0
     assert sigma(()) == 0
+    assert sigma((5,)) == 0
     assert shape((3, 3, 2, 2, 2, 1)) == (2, 3, 1)
     assert p_norm((3, 3, 1)) == 7
     assert sigma_refined((3, 3, 2, 1), 4) == (0, 0, 1, 0)

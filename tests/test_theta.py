@@ -434,6 +434,16 @@ def test_product_equals_newton_on_random_weights(vals, k):
 
 
 @settings(max_examples=25, deadline=None)
+@given(_random_weights(8), st.integers(0, 10))
+def test_det_equals_newton_on_random_weights(vals, k):
+    # theta_det interpolates det M'(t) from its values at t = 0..k-1 and
+    # shares no step with Newton's identities
+    seq = CustomWeights(tuple(vals))
+    n = len(vals)
+    assert theta_det(seq, n, k).poly == theta_newton(seq, n, k).poly, (vals, k)
+
+
+@settings(max_examples=25, deadline=None)
 @given(_random_weights(6), st.integers(1, 8))
 def test_eh_kernel_laws_on_random_weights(vals, k):
     # s_pmf and moments run on the integer e/h kernel; the oracle and the
