@@ -46,16 +46,15 @@ def parse_range(text) -> list[int]:
         raise UsageError("--n and --k are required for this table")
     parts = str(text).split("..")
     try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-            if lo > hi:
-                raise UsageError(f"empty range {text!r}")
-            return list(range(lo, hi + 1))
+        bounds = [int(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}; expected N or LO..HI") from exc
-    raise UsageError(f"bad range {text!r}; expected N or LO..HI")
+    if len(bounds) > 2:
+        raise UsageError(f"bad range {text!r}; expected N or LO..HI")
+    lo, hi = bounds[0], bounds[-1]
+    if lo > hi:
+        raise UsageError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def resolve_weights(name_or_path: str) -> WeightSequence:

@@ -307,48 +307,44 @@ def falling_factorial(x, s: int):
     return out
 
 
-@lru_cache(maxsize=None)
-def _stirling1_row(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    prev = _stirling1_row(n - 1)
-    row = [0] * (n + 1)
-    for k, v in enumerate(prev):
-        if v:
-            row[k + 1] += v
-            row[k] += (n - 1) * v
-    return tuple(row)
+def _stirling_rows(n: int, width: int, second: bool = False):
+    """Rows 0..n of the unsigned Stirling numbers of the first kind, or of
+    the second kind when second, each cut to columns 0..width.
+
+    Built bottom-up, each row from the one before it, by
+    c(m+1, j) = c(m, j-1) + m c(m, j) and S(m+1, j) = S(m, j-1) + j S(m, j):
+    about n * width products, no recursion, and only the last row is held.
+    """
+    row = [1]
+    yield row
+    for m in range(n):
+        nxt = [0] * (min(m + 1, width) + 1)
+        for j, v in enumerate(row):
+            nxt[j] += (j if second else m) * v
+            if j < width:
+                nxt[j + 1] += v
+        row = nxt
+        yield row
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple:
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = [0] * (n + 1)
-    for k, v in enumerate(prev):
-        if v:
-            row[k + 1] += v
-            row[k] += k * v
-    return tuple(row)
+def _stirling(n: int, k: int, second: bool) -> int:
+    _require_int("n", n, 0)
+    _require_int("k", k)
+    if k < 0 or k > n:
+        return 0
+    for row in _stirling_rows(n, k, second):
+        pass
+    return row[k]
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
     """Unsigned Stirling numbers of the first kind (cycle counts)."""
-    if n < 0:
-        raise ValueError("stirling_first_unsigned needs n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return _stirling1_row(n)[k]
+    return _stirling(n, k, second=False)
 
 
 def stirling_second(n: int, k: int) -> int:
     """Stirling numbers of the second kind (set partition counts)."""
-    if n < 0:
-        raise ValueError("stirling_second needs n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return _stirling2_row(n)[k]
+    return _stirling(n, k, second=True)
 
 
 @lru_cache(maxsize=None)

@@ -38,10 +38,11 @@ on the sign-flipped sums, for E'_i = L^i e_i: about k^2 integer products.
 Rung i of L^i theta in the Bernstein basis t^a (1-t)^(i-a) is then the
 i + 1 products H'_a E'_{i-a} (_bernstein_terms), converted once to powers
 of t (_bernstein_to_power).  theta_product multiplies its series factors
-on L*a_m.  theta_bell and theta_det build the integer polynomials
-L^j alpha_j(t) (_alpha_scaled) from the Fraction weights.power_sum and take
-only L.  theta_det takes its determinant at t = 0..k-1, k integer Bareiss
-runs of about k^3/3 products each (det_exact), and interpolates.
+on L*a_m.  theta_bell and theta_det share _by_evaluation: it forms the
+integers L^j alpha_j(x) from the Fraction weights.power_sum and L at
+x = 0..k-1, each route returns k! L^k theta_k(x) there (k(k+1)/2 Bell
+products, or one det_exact Bareiss run of about k^3/3), and one
+interpolation gives the coefficients.
 _elementary_scaled and _homogeneous_scaled reach E' and H' by a second
 route, the direct e and h recurrences on L*a_m in O(n*k) big-int
 multiply-adds; the laws in ztt.distributions assemble their products with
@@ -62,7 +63,7 @@ from .exact import (
     Poly,
     Series,
     _require_int,
-    _stirling1_row,
+    _stirling_rows,
     _validate_nk,
     bell_complete,
     binomial,
@@ -125,28 +126,6 @@ class ThetaPoly:
     @property
     def coefficients(self) -> tuple:
         return self.poly.coeffs
-
-
-def _alpha_scaled(seq: WeightSequence, n: int, kmax: int) -> tuple[int, list]:
-    """L and alpha'_1..alpha'_kmax (index 0 unused), kmax >= 1, with
-    alpha'_j = L^j alpha_j and alpha_j(t) = p_j (t^j - (t-1)^j) for the j-th
-    power sum p_j of a_1..a_n.
-
-    p_j is the Fraction weights.power_sum and L the lcm of the denominators
-    of a_1..a_n, so L^j p_j is an integer; a non-integer is refused.
-    Expanding the binomial, the coefficient of t^i is C(j, i) (-1)^(j-i+1)
-    L^j p_j for i < j; the t^j terms cancel so the degree is j - 1.
-    """
-    sums = [power_sum(seq, n, j) for j in range(1, kmax + 1)]
-    scale = _scaled_weights(seq, n)[0]
-    alpha = [None]
-    for j, pj in enumerate(sums, 1):
-        scaled = pj * scale**j
-        if scaled.denominator != 1:
-            raise ArithmeticError(f"L^{j} p_{j} = {scaled} is not an integer")
-        alpha.append(Poly([scaled.numerator * (binomial(j, i) * (-1) ** (j - i + 1))
-                           for i in range(j)]))
-    return scale, alpha
 
 
 def _newton_identity(P: list, k: int, one, divide) -> list:
@@ -301,22 +280,70 @@ def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     return ThetaPoly(n, k, seq, _fraction_poly(acc.coefficient(k).coeffs, scale**k))
 
 
+def _by_evaluation(seq: WeightSequence, n: int, k: int, value_at) -> ThetaPoly:
+    """theta from the integer values V(x) = k! L^k theta_k(x) at x = 0..k-1.
+
+    value_at(alpha, k) returns V(x) from alpha = [None, alpha'_1, ...,
+    alpha'_k] at t = x, where alpha'_j = L^j alpha_j and alpha_j(t) =
+    p_j (t^j - (t-1)^j) for the j-th power sum p_j of a_1..a_n.  p_j is the
+    Fraction weights.power_sum and L the lcm of the denominators of
+    a_1..a_n, so P_j = L^j p_j is an integer; a non-integer is refused.
+
+    V has degree at most k - 1, so its k values fix it.  Forward
+    differences give its coefficients d_i in the binomial basis
+    C(t, i) = sum_j s(i, j) t^j / i!, s the signed Stirling numbers of the
+    first kind; over k! every term is an integer, so theta_k has one
+    Fraction per coefficient over k! k! L^k.
+    """
+    _validate_nk(n, k)
+    if k == 0:
+        return ThetaPoly(n, k, seq, Poly.one())
+    sums = [power_sum(seq, n, j) for j in range(1, k + 1)]
+    scale = _scaled_weights(seq, n)[0]
+    P = [None]
+    for j, pj in enumerate(sums, 1):
+        scaled = pj * scale**j
+        if scaled.denominator != 1:
+            raise ArithmeticError(f"L^{j} p_{j} = {scaled} is not an integer")
+        P.append(scaled.numerator)
+    values = [value_at([None] + [P[j] * (x**j - (x - 1) ** j) for j in range(1, k + 1)], k)
+              for x in range(k)]
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    fk = math.factorial(k)
+    coeffs = [0] * k
+    for i, row in enumerate(_stirling_rows(k - 1, k - 1)):
+        d = diffs[i] * (fk // math.factorial(i))
+        for j, c in enumerate(row):
+            coeffs[j] += (-1) ** (i - j) * c * d
+    return ThetaPoly(n, k, seq, _fraction_poly(coeffs, fk * fk * scale**k))
+
+
+def _bell_value(alpha: list, k: int) -> int:
+    """k! L^k theta_k(x) as B_k(x'_1, ..., x'_k), x'_j = (j-1)! alpha'_j(x)."""
+    return bell_complete([math.factorial(j - 1) * alpha[j] for j in range(1, k + 1)], k)
+
+
 def theta_bell(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     """theta as a scaled complete Bell polynomial.
 
     Exponentiating the logarithm of the generating function yields
     theta_k = B_k(x_1, ..., x_k) / k! with x_j = (j-1)! * alpha_j(t).
     B_k is weighted-homogeneous of degree k, so at the integer arguments
-    x'_j = L^j x_j (_alpha_scaled) it is L^k B_k: theta_k is
-    B_k(x') / (k! L^k).
+    x'_j = L^j x_j it is k! L^k theta_k.  It is taken at t = 0..k-1 and
+    interpolated (_by_evaluation): each value is one integer B_k by the
+    convolution recurrence, k(k+1)/2 products.
     """
-    _validate_nk(n, k)
-    if k == 0:
-        return ThetaPoly(n, k, seq, Poly.one())
-    scale, alpha = _alpha_scaled(seq, n, k)
-    xs = [math.factorial(j - 1) * alpha[j] for j in range(1, k + 1)]
-    bk = bell_complete(xs, k)
-    return ThetaPoly(n, k, seq, _fraction_poly(bk.coeffs, math.factorial(k) * scale**k))
+    return _by_evaluation(seq, n, k, _bell_value)
+
+
+def _det_value(alpha: list, k: int) -> int:
+    """k! L^k theta_k(x) as det M'(x), by det_exact."""
+    rows = [[alpha[i - j + 1] if j <= i else -(i + 1) if j == i + 1 else 0
+             for j in range(k)] for i in range(k)]
+    return det_exact(rows).numerator
 
 
 def theta_det(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
@@ -324,37 +351,13 @@ def theta_det(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
 
     M has alpha_{i-j+1}(t) on and below the diagonal and -1, -2, ...,
     -(k-1) on the superdiagonal.  Scaling row i (from 0) by L^(i+1) and
-    column j by L^-j turns alpha_{i-j+1} into the integer polynomial
-    alpha'_{i-j+1} (_alpha_scaled), leaves the superdiagonal as it is, and
-    multiplies the determinant by L^k: theta_k is det(M') / (k! L^k).
-
-    det M'(t) is an integer polynomial of degree at most k - 1, so it is
-    read off its values at t = 0..k-1: each is det_exact of an integer
-    matrix, k Bareiss runs of about k^3/3 integer products each.  Forward
-    differences of the values give its coefficients d_i in the binomial
-    basis C(t, i) = sum_j s(i, j) t^j / i!, s the signed Stirling numbers
-    of the first kind; over k! every term is an integer, so theta_k has
-    one Fraction per coefficient over k! k! L^k.
+    column j by L^-j turns alpha_{i-j+1} into alpha'_{i-j+1} = L^(i-j+1)
+    alpha_{i-j+1}, leaves the superdiagonal as it is, and multiplies the
+    determinant by L^k: det M'(t) is k! L^k theta_k.  It is taken at
+    t = 0..k-1 and interpolated (_by_evaluation): each value is det_exact
+    of an integer matrix, one Bareiss run of about k^3/3 integer products.
     """
-    _validate_nk(n, k)
-    if k == 0:
-        return ThetaPoly(n, k, seq, Poly.one())
-    scale, alpha = _alpha_scaled(seq, n, k)
-    values = []
-    for x in range(k):
-        a = [None] + [p(x) for p in alpha[1:]]
-        rows = [[a[i - j + 1] if j <= i else -(i + 1) if j == i + 1 else 0
-                 for j in range(k)] for i in range(k)]
-        values.append(det_exact(rows).numerator)
-    diffs = []
-    while values:
-        diffs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    fk = math.factorial(k)
-    diffs = [d * (fk // math.factorial(i)) for i, d in enumerate(diffs)]
-    coeffs = [sum((-1) ** (i - j) * _stirling1_row(i)[j] * diffs[i] for i in range(j, k))
-              for j in range(k)]
-    return ThetaPoly(n, k, seq, _fraction_poly(coeffs, fk * fk * scale**k))
+    return _by_evaluation(seq, n, k, _det_value)
 
 
 def elementary_symmetric(seq: WeightSequence, n: int, k: int) -> list[Fraction]:

@@ -137,18 +137,14 @@ class CustomWeights(WeightSequence):
 
 def weight_at(seq: WeightSequence, m: int) -> Fraction:
     """a_m, validating the index."""
-    _require_int("weight index", m)
-    if m < 1:
-        raise ValueError(f"weight index must be >= 1, got {m!r}")
+    _require_int("weight index", m, 1)
     return seq.term(m)
 
 
 def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:
     """sum_{m=1}^{n} a_m**j as a Fraction, summed term by term."""
-    _require_int("n", n)
-    _require_int("j", j)
-    if n < 0 or j < 1:
-        raise ValueError(f"power_sum needs n >= 0 and j >= 1, got n={n!r}, j={j!r}")
+    _require_int("n", n, 0)
+    _require_int("j", j, 1)
     upper = seq.upper_index()
     if upper is not None and n > upper:
         raise WeightConfigError(

@@ -29,6 +29,13 @@ def test_parse_range():
         parse_range("1..2..3")
 
 
+def test_empty_range_is_usage_error(capsys):
+    code, out, err = run(capsys, "theta", "--weights", "ones", "--n", "3",
+                         "--k", "5..3")
+    assert code == 2 and not out
+    assert "empty range '5..3'" in err
+
+
 def test_resolve_weights(tmp_path):
     assert resolve_weights("ones") == OnesWeights()
     assert resolve_weights("zeta:2") == ZetaWeights(2)

@@ -118,6 +118,13 @@ def test_stirling_numbers():
     # recurrence spot check at a larger index
     assert stirling_second(10, 3) == 9330
     assert stirling_first_unsigned(10, 3) == 1172700
+    # rows are built bottom-up, so a large n meets no recursion limit
+    assert stirling_second(1500, 3) == (3**1500 - 3 * 2**1500 + 3) // 6
+    assert stirling_first_unsigned(1500, 1) == factorial(1499)
+    with pytest.raises(ValueError, match="needs n >= 0"):
+        stirling_second(-1, 0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        stirling_first_unsigned(5, 2.0)
 
 
 def test_bernoulli_numbers():

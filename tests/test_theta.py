@@ -433,14 +433,15 @@ def test_product_equals_newton_on_random_weights(vals, k):
         assert rung == theta_product(seq, n, i).poly, (vals, i)
 
 
+@pytest.mark.parametrize("algo", [theta_det, theta_bell], ids=["det", "bell"])
 @settings(max_examples=25, deadline=None)
 @given(_random_weights(8), st.integers(0, 10))
-def test_det_equals_newton_on_random_weights(vals, k):
-    # theta_det interpolates det M'(t) from its values at t = 0..k-1 and
-    # shares no step with Newton's identities
+def test_det_equals_newton_on_random_weights(algo, vals, k):
+    # theta_det and theta_bell interpolate k! L^k theta_k from its values at
+    # t = 0..k-1 and share no step with Newton's identities
     seq = CustomWeights(tuple(vals))
     n = len(vals)
-    assert theta_det(seq, n, k).poly == theta_newton(seq, n, k).poly, (vals, k)
+    assert algo(seq, n, k).poly == theta_newton(seq, n, k).poly, (vals, k)
 
 
 @settings(max_examples=25, deadline=None)
