@@ -136,8 +136,6 @@ def _render(fmt: str, command: str, config: dict, columns, rows) -> str:
 
 def _theta_table(args):
     seq, ns, ks, config = _grid(args)
-    if any(n < 1 for n in ns) or any(k < 0 for k in ks):
-        raise UsageError("need n >= 1 and k >= 0")
     t_values = [parse_rational(t) for t in args.t] if args.t else []
     as_csv = args.format == "csv"
     show_agree = args.algo == "all"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import Poly, _require_int, _validate_nk, binomial, falling_factorial
+from .exact import Poly, Series, _require_int, _validate_nk, binomial, falling_factorial
 from .theta import (
     GradedValue,
     _bernstein_terms,
@@ -177,7 +177,10 @@ def reflected_pmf(pmf: Pmf, pivot: int) -> Pmf:
     return Pmf(pivot - (pmf.offset + len(pmf.probs) - 1), tuple(reversed(pmf.probs)))
 
 
-def _fms_to_report(fms: Sequence[Fraction], s_max: int) -> MomentReport:
+def _fms_to_report(s_max: int, fm) -> MomentReport:
+    """The report from fm(s), the s-th factorial moment, for s = 1..s_max;
+    fm(2) is taken even at s_max = 1, because the variance needs it."""
+    fms = [fm(s) for s in range(1, max(2, s_max) + 1)]
     mean = fms[0]
     variance = fms[1] + mean - mean * mean
     return MomentReport(mean, variance, tuple(fms[:s_max]))
@@ -186,10 +189,8 @@ def _fms_to_report(fms: Sequence[Fraction], s_max: int) -> MomentReport:
 def pmf_moments(pmf: Pmf, s_max: int = 2) -> MomentReport:
     """Exact factorial moments of a Pmf; variance via fm2 + mean - mean^2."""
     _require_int("s_max", s_max, 1)
-    fms = []
-    for s in range(1, max(2, s_max) + 1):
-        fms.append(sum((falling_factorial(j, s) * p for j, p in pmf.items()), Fraction(0)))
-    return _fms_to_report(fms, s_max)
+    return _fms_to_report(s_max, lambda s: sum(
+        (falling_factorial(j, s) * p for j, p in pmf.items()), Fraction(0)))
 
 
 def _theta_terms(seq: WeightSequence, n: int, k: int) -> list[int]:
@@ -231,12 +232,12 @@ def moments(seq: WeightSequence, n: int, k: int, s_max: int = 2) -> MomentReport
     _validate_nk(n, k, kmin=1)
     _require_int("s_max", s_max, 1)
     terms = _theta_terms(seq, n, k)
-    fms = []
-    for s in range(1, max(2, s_max) + 1):
+
+    def fm(s):
         num = sum((-1) ** r * math.comb(k - r, s - r) * terms[k - r]
                   for r in range(min(s, k) + 1))
-        fms.append(Fraction(math.factorial(s) * num, terms[k]))
-    return _fms_to_report(fms, s_max)
+        return Fraction(math.factorial(s) * num, terms[k])
+    return _fms_to_report(s_max, fm)
 
 
 def multiset_sigma_closed_moments(n: int, k: int, s_max: int = 2) -> MomentReport:
@@ -287,12 +288,12 @@ def hypergeom_moments(total: int, marked: int, draws: int, s_max: int = 2) -> Mo
     if not (0 <= marked <= total and 0 <= draws <= total) or total < 1:
         raise ValueError("hypergeometric needs 0 <= K <= N and 0 <= n <= N, N >= 1")
     _require_int("s_max", s_max, 1)
-    fms = []
-    for s in range(1, max(2, s_max) + 1):
+
+    def fm(s):
         den = falling_factorial(total, s)
         num = falling_factorial(marked, s) * falling_factorial(draws, s)
-        fms.append(Fraction(num, den) if den else Fraction(0))
-    return _fms_to_report(fms, s_max)
+        return Fraction(num, den) if den else Fraction(0)
+    return _fms_to_report(s_max, fm)
 
 
 def marginal_mass(n: int, k: int, j: int) -> Fraction:
@@ -330,12 +331,9 @@ def marginal_moments(n: int, k: int, s_max: int = 2) -> MomentReport:
     """
     _validate_nk(n, k, kmin=1, nmin=2)
     _require_int("s_max", s_max, 1)
-    fms = [
-        Fraction(math.factorial(s) * falling_factorial(k, s + 1),
-                 (n + k - 1) * falling_factorial(n + s - 1, s))
-        for s in range(1, max(2, s_max) + 1)
-    ]
-    return _fms_to_report(fms, s_max)
+    return _fms_to_report(s_max, lambda s: Fraction(
+        math.factorial(s) * falling_factorial(k, s + 1),
+        (n + k - 1) * falling_factorial(n + s - 1, s)))
 
 
 def marginal_p0_closed(n: int, k: int) -> Fraction:
@@ -371,19 +369,15 @@ def marginal_zeta_pgf(n: int, k: int, i: int, t0) -> Fraction:
 
 
 def bernoulli_sum_pmf(ps: Sequence) -> Pmf:
-    """Law of a sum of independent Bernoulli variables with success vector ps."""
-    masses = [Fraction(1)]
+    """Law of a sum of independent Bernoulli variables with success vector ps:
+    the coefficients of prod_m (1 - p_m + p_m z), one Series product each."""
+    ps = [Fraction(p) for p in ps]
+    if not all(0 <= p <= 1 for p in ps):
+        raise ValueError("Bernoulli parameters must lie in [0, 1]")
+    acc = Series.one(len(ps))
     for p in ps:
-        p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise ValueError("Bernoulli parameters must lie in [0, 1]")
-        nxt = [Fraction(0)] * (len(masses) + 1)
-        for j, m in enumerate(masses):
-            if m:
-                nxt[j] += m * (1 - p)
-                nxt[j + 1] += m * p
-        masses = nxt
-    return pmf_from_masses(0, masses)
+        acc = acc * Series(len(ps), [1 - p, p])
+    return pmf_from_masses(0, acc.coeffs)
 
 
 def d_n_pmf(n: int, exponent: int) -> Pmf:
@@ -852,5 +846,5 @@ def limit_scan(regime: str, grid: Sequence[int] | None = None) -> list:
     if not pts:
         raise ValueError("grid must be non-empty")
     for p in pts:
-        _require_int("grid point", p)
+        _require_int("grid point", p, 1)
     return [_SCANNERS[regime](p) for p in pts]

@@ -214,10 +214,13 @@ class Poly:
 
 
 class Series:
-    """Truncated power series in z with Poly (or scalar) coefficients.
+    """Truncated power series in z over any commutative ring.
 
     A series of order K holds coefficients of z^0 .. z^K; multiplication
     truncates at order K and requires both operands to share the order.
+    Missing coefficients are the zero of the first one's ring (else int 0),
+    so a product of two series over int, Fraction or Poly stays in that
+    ring; theta._factor_product and distributions.bernoulli_sum_pmf run on it.
     """
 
     __slots__ = ("order", "coeffs")
@@ -228,14 +231,13 @@ class Series:
         cs = list(coeffs)
         if len(cs) > order + 1:
             raise ValueError("too many series coefficients for the given order")
-        while len(cs) < order + 1:
-            cs.append(Poly.zero())
+        cs += [cs[0] * 0 if cs else 0] * (order + 1 - len(cs))
         self.order = order
         self.coeffs = tuple(cs)
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls(order, (Poly.one(),))
+        return cls(order, (1,))
 
     def coefficient(self, j: int):
         if not 0 <= j <= self.order:
@@ -258,14 +260,16 @@ class Series:
                 f"series order mismatch: {self.order} vs {other.order}"
             )
         k = self.order
-        out = [Poly.zero() for _ in range(k + 1)]
+        out = [self.coeffs[0] * 0] * (k + 1)
+        # other's non-zero terms only, so a sparse factor such as 1 - p + p z costs O(k)
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
-            for j in range(0, k + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+            for j, b in terms:
+                if i + j > k:
+                    break
+                out[i + j] = out[i + j] + a * b
         return Series(k, out)
 
     def __repr__(self) -> str:

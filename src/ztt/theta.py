@@ -24,25 +24,27 @@ A sixth route (theta_partial_fraction) evaluates at a fixed t by partial
 fractions when the weights are pairwise distinct, on the integers D/a_m
 with D the lcm of the weight numerators and one Fraction per pole; a
 seventh (theta_ordered_partitions) sums truncated multiple zeta values over
-all compositions of k.  theta_multi_eval, one t per weight index, runs its
-series product on L*a_m and T*t_m, T the lcm of the t denominators, and
-builds one Fraction at the end.
+all compositions of k.  theta_multi_eval, one t per weight index, runs
+theta_product's factor product on L*a_m and T*t_m, T the lcm of the t
+denominators, and builds one Fraction at the end.
 
 Four of the five constructions run on integers scaled by L, the lcm of
 the denominators of a_1..a_n, and build one Fraction per coefficient at
-the end; Poly and Series keep int coefficients int.  _scaled_weights reads
-the weights once as L and the integers L*a_m.  theta_newton, the default,
-sums their powers P_j = L^j p_j (n*k integer products) and runs Newton's
-identities on them (_newton_identity), once for H'_i = L^i h_i and once,
-on the sign-flipped sums, for E'_i = L^i e_i: about k^2 integer products.
-Rung i of L^i theta in the Bernstein basis t^a (1-t)^(i-a) is then the
-i + 1 products H'_a E'_{i-a} (_bernstein_terms), converted once to powers
-of t (_bernstein_to_power).  theta_product multiplies its series factors
-on L*a_m.  theta_bell and theta_det share _by_evaluation: it forms the
-integers L^j alpha_j(x) from the Fraction weights.power_sum and L at
-x = 0..k-1, each route returns k! L^k theta_k(x) there (k(k+1)/2 Bell
-products, or one det_exact Bareiss run of about k^3/3), and one
-interpolation gives the coefficients.
+the end; Poly and the ring-generic Series keep int coefficients int.
+_scaled_weights reads the weights once as L and the integers L*a_m.
+theta_newton, the default, sums their powers P_j = L^j p_j (n*k integer
+products) and runs Newton's identities on them (_newton_identity), once
+for H'_i = L^i h_i and once, on the sign-flipped sums, for E'_i = L^i e_i:
+about k^2 integer products.  Rung i of L^i theta in the Bernstein basis
+t^a (1-t)^(i-a) is then the i + 1 products H'_a E'_{i-a}
+(_bernstein_terms), converted once to powers of t (_bernstein_to_power).
+theta_product and theta_multi_eval share _factor_product, one Series
+product per factor on L*a_m, with the Poly t or the integers T*t_m.
+theta_bell and theta_det share _by_evaluation: it forms the integers
+L^j alpha_j(x) from the Fraction weights.power_sum and L at x = 0..k-1,
+each route returns k! L^k theta_k(x) there (k(k+1)/2 Bell products, or
+one det_exact Bareiss run of about k^3/3), and one interpolation gives
+the coefficients.
 _elementary_scaled and _homogeneous_scaled reach E' and H' by a second
 route, the direct e and h recurrences on L*a_m in O(n*k) big-int
 multiply-adds; the laws in ztt.distributions assemble their products with
@@ -259,25 +261,34 @@ def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     return ThetaPoly(n, k, seq, _fraction_poly(_bernstein_to_power(terms), scale**k))
 
 
+def _factor_product(ints: list[int], ts: Sequence, tscale: int, k: int):
+    """[z^k] of prod_m (1 + sum_{j=1..k} b_m^j t_m^(j-1) T z^j) for b_m in
+    ints, t_m in ts and T = tscale, one Series product per factor: a run of
+    j copies of value m has weight a_m^j and j-1 adjacent equal pairs.  t_m
+    is the Poly t in theta_product and an int in theta_multi_eval."""
+    acc = Series.one(k)
+    for b, t in zip(ints, ts):
+        coeffs = [1, b * tscale][:k + 1]
+        while len(coeffs) <= k:
+            coeffs.append(coeffs[-1] * b * t)
+        acc = acc * Series(k, coeffs)
+    return acc.coefficient(k)
+
+
 def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     """theta as [z^k] of the product of per-weight factors.
 
-    Factor m contributes 1 + sum_{j=1..k} a_m^j t^(j-1) z^j: a run of j
-    copies of value m carries weight a_m^j and j-1 adjacent equal pairs.
-    The product runs on the integers b_m = L*a_m (_scaled_weights), so
-    every coefficient stays an int and [z^k] is L^k theta_k.
+    Factor m is 1 + sum_{j=1..k} a_m^j t^(j-1) z^j (_factor_product with
+    every t_m the Poly t and T = 1).  The product runs on the integers
+    b_m = L*a_m (_scaled_weights), so every coefficient stays an int and
+    [z^k] is L^k theta_k.
     """
     _validate_nk(n, k)
     scale, ints = _scaled_weights(seq, n)
-    acc = Series(k, [Poly((1,))])
-    for b in ints:
-        coeffs = [Poly((1,))]
-        bpow = 1
-        for j in range(1, k + 1):
-            bpow *= b
-            coeffs.append(Poly((0,) * (j - 1) + (bpow,)))
-        acc = acc * Series(k, coeffs)
-    return ThetaPoly(n, k, seq, _fraction_poly(acc.coefficient(k).coeffs, scale**k))
+    top = _factor_product(ints, [Poly((0, 1))] * n, 1, k)
+    # [z^0] and [z^1] carry no t, so they come back as ints
+    coeffs = top.coeffs if isinstance(top, Poly) else (top,)
+    return ThetaPoly(n, k, seq, _fraction_poly(coeffs, scale**k))
 
 
 def _by_evaluation(seq: WeightSequence, n: int, k: int, value_at) -> ThetaPoly:
@@ -557,13 +568,13 @@ def theta_multi_eval(seq: WeightSequence, n: int, k: int, tvec: Sequence) -> Fra
     """Value of the refined sum with one interpolation variable per weight.
 
     Each multiset contributes w(m) * prod_i t_i^(adjacent equal pairs of
-    value i); the per-value factor only changes factor m of the series
-    product, so a scalar truncated convolution suffices.
+    value i); the per-value variable only changes factor m of
+    theta_product's series product, so the same _factor_product runs.
 
-    The convolution runs on integers: with b_m = L*a_m (_scaled_weights)
-    and s_m = T*t_m, T the lcm of the denominators of the t_m, factor m has
-    coefficients b_m^j s_m^(j-1) T = (L*T)^j a_m^j t_m^(j-1), so [z^k] of
-    the product is (L*T)^k times the value: one Fraction at the end.
+    It runs on integers: with b_m = L*a_m (_scaled_weights) and s_m = T*t_m,
+    T the lcm of the denominators of the t_m, factor m has coefficients
+    b_m^j s_m^(j-1) T = (L*T)^j a_m^j t_m^(j-1), so [z^k] of the product is
+    (L*T)^k times the value: one Fraction at the end.
     """
     _validate_nk(n, k)
     ts = [Fraction(t) for t in tvec]
@@ -571,23 +582,8 @@ def theta_multi_eval(seq: WeightSequence, n: int, k: int, tvec: Sequence) -> Fra
         raise ValueError(f"tvec needs one entry per weight index (expected {n})")
     scale, ints = _scaled_weights(seq, n)
     tscale = math.lcm(*(t.denominator for t in ts))
-    acc = [1] + [0] * k
-    for b, t in zip(ints, ts):
-        s = t.numerator * (tscale // t.denominator)
-        fac = [1]
-        coef = b * tscale
-        for _ in range(k):
-            fac.append(coef)  # b^j * s^(j-1) * T
-            coef *= b * s
-        new = [0] * (k + 1)
-        for i, c in enumerate(acc):
-            if not c:
-                continue
-            for j in range(0, k + 1 - i):
-                if fac[j]:
-                    new[i + j] += c * fac[j]
-        acc = new
-    return Fraction(acc[k], (scale * tscale) ** k)
+    ss = [t.numerator * (tscale // t.denominator) for t in ts]
+    return Fraction(_factor_product(ints, ss, tscale, k), (scale * tscale) ** k)
 
 
 def theta_qt(seq: WeightSequence, n: int, k: int, q) -> ThetaPoly:

@@ -214,6 +214,20 @@ def test_empty_limits_grid_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "scan.csv").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("theta", "--n", "0", "--k", "2"), "needs n >= 1, got 0"),
+    (("theta", "--n", "0..3", "--k", "2", "--algo", "all"), "needs n >= 1, got 0"),
+    (("theta", "--n", "0", "--k", "2", "--algo", "oracle"), "needs n >= 1, got 0"),
+    (("theta", "--n", "2", "--k=-1..2"), "needs k >= 0, got -1"),
+    (("limits", "--regime", "poisson_multiset", "--grid", "-5"),
+     "needs grid point >= 1, got -5"),
+], ids=["theta-n0", "theta-all-n0", "theta-oracle-n0", "theta-negative-k", "limits-negative-grid"])
+def test_out_of_range_cell_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_verify_cli(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "sumtheorem")
     assert code == 0

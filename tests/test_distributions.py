@@ -169,6 +169,12 @@ def test_marginal_zeta_pgf():
 def test_bernoulli_sum_and_d_n():
     p = bernoulli_sum_pmf((F(1, 2), F(1, 3)))
     assert p == Pmf(0, (F(1, 3), F(1, 2), F(1, 6)))
+    assert bernoulli_sum_pmf(()) == Pmf(0, (F(1),))
+    # p = 0 adds nothing and p = 1 shifts the law by one
+    assert bernoulli_sum_pmf((F(1), F(1, 2), 0, 1, F(1, 3))) == Pmf(2, p.probs)
+    for bad in (F(-1, 3), F(4, 3)):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bernoulli_sum_pmf((F(1, 2), bad))
     d3 = d_n_pmf(3, 1)
     # pgf z(z+1)(z+2)/6: masses 1/3, 1/2, 1/6 on 1..3
     assert d3 == Pmf(1, (F(1, 3), F(1, 2), F(1, 6)))
@@ -350,6 +356,9 @@ def test_limit_scan_shapes():
         limit_scan("nope")
     with pytest.raises(ValueError):
         limit_scan("poisson_multiset", ())
+    for point in (0, -5):
+        with pytest.raises(ValueError, match=f"needs grid point >= 1, got {point}"):
+            limit_scan("poisson_multiset", (100, point))
 
 
 def test_float_pmf_container():

@@ -73,6 +73,22 @@ def test_series_truncation():
         a * Series(3, [1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("ring", [int, F, lambda c: Poly([c])], ids=["int", "Fraction", "Poly"])
+def test_series_keeps_its_ring(ring):
+    kind = type(ring(1))
+    # sparse operands: the product skips the zero terms of the right factor
+    a = Series(3, [ring(1), ring(0), ring(2)])
+    b = Series(3, [ring(0), ring(3), ring(0), ring(5)])
+    c = a * b
+    assert c.coeffs == tuple(ring(x) for x in (0, 3, 0, 11))
+    assert (b * a).coeffs == c.coeffs
+    for s in (a, b, c, a * Series.one(3)):
+        assert all(type(x) is kind for x in s.coeffs), s
+    assert Series.one(3).coeffs == (1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        a * Series(2, [ring(1)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(-9, 9), max_size=6),
        st.lists(st.integers(-9, 9), max_size=6),

@@ -581,6 +581,9 @@ def test_partial_fraction_equals_newton_on_random_weights(vals, k):
 def test_multi_eval_equals_oracle_tvec(vals, k, data):
     seq = CustomWeights(tuple(vals))
     n = len(vals)
-    tvec = data.draw(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 7)),
-                              min_size=n, max_size=n), label="tvec")
+    rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+    tvec = data.draw(st.lists(rationals, min_size=n, max_size=n), label="tvec")
     assert theta_multi_eval(seq, n, k, tvec) == theta_bruteforce(seq, n, k, tvec=tvec)
+    # the constant vector (t, ..., t) collapses to theta at t
+    t0 = data.draw(rationals, label="t")
+    assert theta_multi_eval(seq, n, k, [t0] * n) == theta_newton(seq, n, k).poly(t0)
