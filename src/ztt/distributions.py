@@ -29,14 +29,13 @@ from .theta import (
     _elementary_scaled,
     _homogeneous_scaled,
     _power_sums_scaled,
-    _scaled_weights,
     multiple_harmonic,
     theta_infinite_zeta,
     theta_multi_eval,
     theta_newton,  # noqa: F401  the benchmark tracer's self-test patches this name here
     zeta_star_ones,
 )
-from .weights import WeightSequence, ZetaWeights
+from .weights import WeightSequence, ZetaWeights, _scaled_weights
 
 __all__ = [
     "Pmf",
@@ -370,13 +369,14 @@ def marginal_zeta_pgf(n: int, k: int, i: int, t0) -> Fraction:
 
 def bernoulli_sum_pmf(ps: Sequence) -> Pmf:
     """Law of a sum of independent Bernoulli variables with success vector ps:
-    the coefficients of prod_m (1 - p_m + p_m z), one Series product each."""
+    the coefficients of prod_m ((d_m - c_m) + c_m z) for p_m = c_m/d_m, one
+    integer Series product each, over prod_m d_m: one Fraction per mass."""
     ps = [Fraction(p) for p in ps]
     if not all(0 <= p <= 1 for p in ps):
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
     acc = Series.one(len(ps))
     for p in ps:
-        acc = acc * Series(len(ps), [1 - p, p])
+        acc = acc * Series(len(ps), [p.denominator - p.numerator, p.numerator])
     return pmf_from_masses(0, acc.coeffs)
 
 

@@ -1,9 +1,11 @@
 """Exact arithmetic plumbing.
 
 Rationals, dense polynomials in one variable, truncated power series, and the
-small combinatorial number tables the rest of the package leans on.  Nothing
-in this module touches floats; callers convert at the edge when they need
-numerics.
+small combinatorial number tables the rest of the package leans on.
+_over_lcm is the package's one step from rationals to Python ints, scaled by
+the lcm of the denominators; the integer routes start from it and build one
+Fraction per output value.  Nothing in this module touches floats; callers
+convert at the edge when they need numerics.
 """
 
 from __future__ import annotations
@@ -396,6 +398,15 @@ def bell_complete(xs: Sequence, k: int):
     return bs[k]
 
 
+def _over_lcm(values: Iterable) -> tuple[int, list[int]]:
+    """D and the integers D*v for the rationals v in values, with D the lcm
+    of their denominators: the one conversion from rationals to scaled
+    integers, after which each caller builds one Fraction per output."""
+    vs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in vs))
+    return den, [v.numerator * (den // v.denominator) for v in vs]
+
+
 def det_exact(rows: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix of rationals, as one Fraction.
 
@@ -414,10 +425,9 @@ def det_exact(rows: Sequence[Sequence]) -> Fraction:
     m = []
     scale = 1
     for row in rows:
-        entries = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row]
-        den = math.lcm(*(e.denominator for e in entries))
+        den, ints = _over_lcm(row)
         scale *= den
-        m.append([e.numerator * (den // e.denominator) for e in entries])
+        m.append(ints)
     sign = 1
     prev = 1
     for r in range(k - 1):

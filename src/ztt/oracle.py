@@ -4,11 +4,11 @@ The enumeration is deliberately naive: walk every weakly decreasing k-tuple
 over {1..n}, read off its statistics, and accumulate.  The fast algorithms
 elsewhere are tested against these sums, never the other way around.
 
-Only the arithmetic is not naive.  The weights are read once and scaled to
-the integers b_m = L*a_m, L the lcm of their denominators; each multiset
+Only the arithmetic is not naive.  weights._scaled_weights reads the
+weights once as b_m = L*a_m, L the lcm of their denominators; each multiset
 adds the integer product of its b's into a bucket keyed by its statistic,
-and each output value is built as one Fraction at the end, over L^k.  This
-module shares no code with ztt.theta, whose routes it checks.
+and each output value is one Fraction over L^k.  Only ztt.exact and that
+weight read are shared with the routes it checks; nothing of ztt.theta is.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ import os
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import Poly, _require_int, _validate_nk, binomial
-from .weights import WeightSequence, weight_at
+from .exact import Poly, _over_lcm, _require_int, _validate_nk, binomial
+from .weights import WeightSequence, _scaled_weights
+from .weights import weight_at  # noqa: F401  the benchmark tracer's self-test patches it here
 
 __all__ = [
     "BudgetExceededError",
@@ -146,19 +147,11 @@ def compositions(k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(k, ())
 
 
-def _scaled_terms(seq: WeightSequence, n: int) -> tuple[int, list]:
-    """L, the lcm of the denominators of a_1..a_n, and [None, b_1, ..., b_n]
-    with the integers b_m = L*a_m, indexed by the multiset entries."""
-    terms = [weight_at(seq, m) for m in range(1, n + 1)]
-    scale = math.lcm(*(a.denominator for a in terms))
-    return scale, [None] + [a.numerator * (scale // a.denominator) for a in terms]
-
-
 def _bucket_sums(ints: list, n: int, k: int, key) -> dict:
     """key(ms) -> sum of the integer products b_v over v in ms, over every
     multiset ms with that key: L^k times the total weight of the class."""
     buckets: dict = {}
-    entry = ints.__getitem__
+    entry = [None, *ints].__getitem__  # multiset entries count from 1
     for ms in enumerate_multisets(n, k):
         stat = key(ms)
         buckets[stat] = buckets.get(stat, 0) + math.prod(map(entry, ms))
@@ -206,12 +199,11 @@ def theta_bruteforce(
         raise ValueError(f"tvec needs one entry per weight index (expected {n})")
     qv = None if q is None else Fraction(q)
     _check_budget(n, k, budget)
-    scale, ints = _scaled_terms(seq, n)
+    scale, ints = _scaled_weights(seq, n)
 
     if ts is not None:
         # t_i = s_i / T; sigma <= top, so T^top prod t_i^c_i is an integer
-        tscale = math.lcm(*(t.denominator for t in ts))
-        svec = [t.numerator * (tscale // t.denominator) for t in ts]
+        tscale, svec = _over_lcm(ts)
         top = max(k - 1, 0)
         total = 0
         for counts, w in _bucket_sums(ints, n, k, lambda ms: sigma_refined(ms, n)).items():
@@ -249,6 +241,6 @@ def theta_marginal_bruteforce(
     if i > n:
         raise ValueError("tracked value i must satisfy 1 <= i <= n")
     _check_budget(n, k, budget)
-    scale, ints = _scaled_terms(seq, n)
+    scale, ints = _scaled_weights(seq, n)
     buckets = _bucket_sums(ints, n, k, lambda ms: sigma_refined(ms, n)[i - 1])
     return _poly_over(buckets, k, scale**k)

@@ -31,7 +31,8 @@ denominators, and builds one Fraction at the end.
 Four of the five constructions run on integers scaled by L, the lcm of
 the denominators of a_1..a_n, and build one Fraction per coefficient at
 the end; Poly and the ring-generic Series keep int coefficients int.
-_scaled_weights reads the weights once as L and the integers L*a_m.
+Every step from rationals to integers is exact._over_lcm, and
+weights._scaled_weights reads the weights through it once as L and L*a_m.
 theta_newton, the default, sums their powers P_j = L^j p_j (n*k integer
 products) and runs Newton's identities on them (_newton_identity), once
 for H'_i = L^i h_i and once, on the sign-flipped sums, for E'_i = L^i e_i:
@@ -64,6 +65,7 @@ from typing import Sequence
 from .exact import (
     Poly,
     Series,
+    _over_lcm,
     _require_int,
     _stirling_rows,
     _validate_nk,
@@ -78,7 +80,7 @@ from .weights import (
     QModifiedWeights,
     WeightSequence,
     ZetaWeights,
-    has_distinct_terms,
+    _scaled_weights,
     power_sum,
     weight_at,
 )
@@ -180,14 +182,6 @@ def _divide_exact(c: int, i: int) -> int:
     if r:
         raise ArithmeticError(f"Newton identity {i}: {c} is not divisible by {i}")
     return q
-
-
-def _scaled_weights(seq: WeightSequence, n: int) -> tuple[int, list[int]]:
-    """L and the integers L*a_1, ..., L*a_n, with L the lcm of the
-    denominators of a_1..a_n; each weight is read once."""
-    terms = [weight_at(seq, m) for m in range(1, n + 1)]
-    scale = math.lcm(*(a.denominator for a in terms))
-    return scale, [a.numerator * (scale // a.denominator) for a in terms]
 
 
 def _elementary_scaled(ints: list[int], k: int) -> list[int]:
@@ -404,9 +398,7 @@ def theta_convolution(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     es = elementary_symmetric(seq, n, k)
     hs = complete_homogeneous(seq, n, k)
     # expand each (1-t)^(k-j) by explicit binomials, over one denominator
-    products = [hs[j] * es[k - j] for j in range(k + 1)]
-    den = math.lcm(*(c.denominator for c in products))
-    nums = [c.numerator * (den // c.denominator) for c in products]
+    den, nums = _over_lcm(hs[j] * es[k - j] for j in range(k + 1))
     coeffs = [Fraction(sum((-1) ** (i - j) * math.comb(k - j, i - j) * nums[j]
                            for j in range(i + 1)), den)
               for i in range(k + 1)]
@@ -439,11 +431,10 @@ def theta_partial_fraction(seq: WeightSequence, n: int, k: int, t0) -> Fraction:
         raise ValueError("theta_partial_fraction needs t0 != 0")
     if k == 0:
         return Fraction(1)
-    if not has_distinct_terms(seq, n):
+    # the R_m = D/a_m are pairwise distinct exactly when the a_m are
+    scale, rs = _over_lcm(1 / weight_at(seq, m) for m in range(1, n + 1))
+    if len(set(rs)) != n:
         raise ValueError("theta_partial_fraction needs pairwise distinct weights")
-    a = [weight_at(seq, m) for m in range(1, n + 1)]
-    scale = math.lcm(*(x.numerator for x in a))
-    rs = [x.denominator * (scale // x.numerator) for x in a]
     # (1 - t0)/t0 = (den - num)/num, already in lowest terms up to sign
     u, v = t0.denominator - t0.numerator, t0.numerator
     total = Fraction(0)
@@ -577,12 +568,10 @@ def theta_multi_eval(seq: WeightSequence, n: int, k: int, tvec: Sequence) -> Fra
     (L*T)^k times the value: one Fraction at the end.
     """
     _validate_nk(n, k)
-    ts = [Fraction(t) for t in tvec]
-    if len(ts) != n:
+    tscale, ss = _over_lcm(tvec)
+    if len(ss) != n:
         raise ValueError(f"tvec needs one entry per weight index (expected {n})")
     scale, ints = _scaled_weights(seq, n)
-    tscale = math.lcm(*(t.denominator for t in ts))
-    ss = [t.numerator * (tscale // t.denominator) for t in ts]
     return Fraction(_factor_product(ints, ss, tscale, k), (scale * tscale) ** k)
 
 

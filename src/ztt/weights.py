@@ -1,9 +1,10 @@
 """Weight sequences a_1, a_2, ... of positive rationals.
 
 Four built-in families (ones, linear, reciprocal powers, q-scaled) plus
-finite custom lists, together with the Fraction power sums sum_{m<=n} a_m^j
-that theta_bell and theta_det consume.  Configurations round-trip through a
-small JSON schema.
+finite custom lists, the Fraction power sums sum_{m<=n} a_m^j that
+theta_bell and theta_det consume, and _scaled_weights, the one read of
+a_1..a_n as scaled integers that the integer routes, the laws and the
+oracle share.  Configurations round-trip through a small JSON schema.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _require_int, format_rational, parse_rational
+from .exact import _over_lcm, _require_int, format_rational, parse_rational
 
 __all__ = [
     "WeightConfigError",
@@ -139,6 +140,12 @@ def weight_at(seq: WeightSequence, m: int) -> Fraction:
     """a_m, validating the index."""
     _require_int("weight index", m, 1)
     return seq.term(m)
+
+
+def _scaled_weights(seq: WeightSequence, n: int) -> tuple[int, list[int]]:
+    """L and the integers L*a_1, ..., L*a_n, with L the lcm of the
+    denominators of a_1..a_n; each weight is read once."""
+    return _over_lcm(weight_at(seq, m) for m in range(1, n + 1))
 
 
 def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Exact laws, moments, numeric truncations, and limit-regime scans."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,15 @@ def test_bernoulli_sum_and_d_n():
     for bad in (F(-1, 3), F(4, 3)):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             bernoulli_sum_pmf((F(1, 2), bad))
+    # against the Fraction convolution, on vectors with repeats, 0s and 1s
+    rng = random.Random(20261020)
+    for _ in range(60):
+        dens = [rng.randint(1, 6) for _ in range(rng.randint(1, 9))]
+        ps = [F(rng.randint(0, d), d) for d in dens]
+        masses = [F(1)]
+        for q in ps:
+            masses = [(1 - q) * a + q * b for a, b in zip(masses + [0], [0] + masses)]
+        assert bernoulli_sum_pmf(ps) == pmf_from_masses(0, masses), ps
     d3 = d_n_pmf(3, 1)
     # pgf z(z+1)(z+2)/6: masses 1/3, 1/2, 1/6 on 1..3
     assert d3 == Pmf(1, (F(1, 3), F(1, 2), F(1, 6)))

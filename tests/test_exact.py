@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ztt.exact import (
     Poly,
     Series,
+    _over_lcm,
     bell_complete,
     bernoulli,
     binomial,
@@ -182,6 +183,14 @@ def test_det_exact():
     assert det_exact(swap) != 0
     # singular: no pivot left in the second column after the first step
     assert det_exact([[1, 2, 3], [2, 4, 5], [3, 6, 7]]) == 0
+
+
+def test_over_lcm():
+    assert _over_lcm([3, -2, 0]) == (1, [3, -2, 0])
+    assert _over_lcm([F(-5, 7)]) == (7, [-5])
+    assert _over_lcm([]) == (1, [])
+    # D is the lcm 12 of 4, 6 and 3, not their product 72
+    assert _over_lcm([F(1, 4), F(-5, 6), 2, F(2, 3)]) == (12, [3, -10, 24, 8])
 
 
 def _leibniz_det(rows):

@@ -39,7 +39,6 @@ from ztt.theta import (
     _newton_eh,
     _newton_identity,
     _power_sums_scaled,
-    _scaled_weights,
     GradedValue,
     ThetaPoly,
     closed_form_ones_bivariate,
@@ -70,6 +69,7 @@ from ztt.weights import (
     QModifiedWeights,
     WeightConfigError,
     ZetaWeights,
+    _scaled_weights,
     power_sum,
     weight_at,
 )
@@ -254,8 +254,14 @@ def test_partial_fraction():
     assert theta_partial_fraction(seq, 3, 0, F(1, 2)) == 1
     with pytest.raises(ValueError):
         theta_partial_fraction(seq, 3, 2, F(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         theta_partial_fraction(OnesWeights(), 2, 2, F(1, 2))
+    repeated = CustomWeights((F(1, 2), F(3), F(1, 2)))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        theta_partial_fraction(repeated, 3, 2, F(1, 2))
+    # only a_1..a_n are read, and those are distinct at n = 2
+    value = theta_newton(repeated, 2, 2).at(F(1, 2))
+    assert theta_partial_fraction(repeated, 2, 2, F(1, 2)) == value
 
 
 def test_multiple_harmonic():
