@@ -491,40 +491,60 @@ def s_infinity_2_exact(k: int) -> Pmf:
     return pmf_from_masses(0, masses)
 
 
-# Outer indices per block of the (weight, depth) DP; each prefix sum carries
-# its last value into the next block, so memory does not grow with n_trunc.
+# Outer indices per block of the prefix sums over m; each sum carries its
+# last value into the next block, so memory does not grow with n_trunc.
 _SINF_CHUNK = 4096
 
 
 def _sinf_truncated_sums(k: int, n_trunc: int) -> list[list[float]]:
     """T[l][w] = sum over compositions c of w into l parts of zeta_N(2c), N = n_trunc.
 
-    The outermost index m runs over 1..N, so level l is the prefix sum in m
-    of sum_p m^(-2p) T[l-1][w-p](m-1); T[0][0] = 1 at every m.
+    T[l][w] is [t^(w-l)] theta_{N;w}(t) for the weights 1/m^2 (see
+    theta_ordered_partitions), so it is read off the convolution identity
+    theta_w = sum_a h_a e_(w-a) t^a (1-t)^(w-a) in powers of t:
+
+        T[l][w] = sum_{i=l..w} (-1)^(i-l) C(i, l) e_i h_(w-i),
+
+    with e_i = zeta_N({2}_i) from the prefix sums e_i(m) = e_i(m-1) +
+    m^-2 e_(i-1)(m-1), p_j = zeta_N(2j) from power sums, and h_j =
+    zeta*_N({2}_j) from Newton's identity j h_j = sum_i p_i h_(j-i): about
+    3k passes over m = 1..N (k prefix sums, k powers, k power sums).
+
+    The caller's noise allowance 1e-15 N l C(w-1, l-1) on T[l][w] still
+    covers rounding.  e, p and h are sums of positive terms, so each has
+    relative error about w(N+2) 2^-53.  For l >= 2 the alternating sum's
+    terms have absolute sum A[l][w] <= 2 sum_i C(i, l) pi^(2i)/(2i+1)!, as
+    e_i <= pi^(2i)/(2i+1)! and h_j = (2 - 2^(2-2j)) zeta(2j) < 2 (Hoffman):
+    at most 3.2 at l = 2 and falling in l, so error / allowance <= 0.35.
+    Row 1 is p_w itself: there A reaches about 7.9 and would exceed the
+    allowance.
     """
-    T = [[0.0] * (k + 1) for _ in range(k + 1)]
-    T[0][0] = 1.0
+    e = [1.0] + [0.0] * k
+    p = [0.0] * (k + 1)
     for m0 in range(1, n_trunc + 1, _SINF_CHUNK):
         m1 = min(m0 + _SINF_CHUNK, n_trunc + 1)
         x = array("d", [1.0 / (m * m) for m in range(m0, m1)])
-        pw = [None, x]
-        for _ in range(2, k + 1):
-            pw.append(array("d", map(operator.mul, pw[-1], x)))
-        # level l-1 on m0-1..m1-1; a map stops at the shorter x, so position
-        # i pairs m = m0+i with the value at m-1
-        prev = [array("d", [1.0]) * (m1 - m0 + 1)] + [None] * k
-        for l in range(1, k + 1):
-            cur = [None] * (k + 1)
-            for w in range(l, k + 1):
-                terms = None
-                for p in range(1, w - l + 2):
-                    if prev[w - p] is None:
-                        continue
-                    term = map(operator.mul, pw[p], prev[w - p])
-                    terms = term if terms is None else map(operator.add, terms, term)
-                cur[w] = array("d", itertools.accumulate(terms, initial=T[l][w]))
-                T[l][w] = cur[w][-1]
-            prev = cur
+        xj = x
+        for j in range(1, k + 1):
+            p[j] += math.fsum(xj)
+            if j < k:
+                xj = array("d", map(operator.mul, xj, x))
+        # e_(i-1) on m0-1..m1-1; a map stops at the shorter x, so position
+        # t pairs m = m0+t with the value at m-1
+        prev = array("d", [1.0]) * (m1 - m0 + 1)
+        for i in range(1, k + 1):
+            prev = array("d", itertools.accumulate(map(operator.mul, x, prev), initial=e[i]))
+            e[i] = prev[-1]
+    h = [1.0] + [0.0] * k
+    for j in range(1, k + 1):
+        h[j] = math.fsum(p[i] * h[j - i] for i in range(1, j + 1)) / j
+    T = [[0.0] * (k + 1) for _ in range(k + 1)]
+    T[0][0] = 1.0
+    T[1][1:] = p[1:]
+    for l in range(2, k + 1):
+        for w in range(l, k + 1):
+            T[l][w] = math.fsum((-1) ** (i - l) * math.comb(i, l) * e[i] * h[w - i]
+                                for i in range(l, w + 1))
     return T
 
 
@@ -574,11 +594,14 @@ def s_infinity_2_pmf(k: int, n_trunc: int = 100000) -> FloatPmf:
 
     Mass j is the sum of the tail-corrected truncated MZVs zeta(2c) over the
     compositions c of k into k-j parts, normalized; the estimate and bound
-    of each equal truncated_mzv_numeric's up to float rounding.  One prefix-sum
-    DP over (weight, depth) replaces the 2^(k-1) compositions: about
-    k(k+1)(k+2)/6 float passes over m = 1..n_trunc, in blocks of fixed size,
-    so memory stays flat in n_trunc.  Independent of the graded-exact route,
-    which tests use to cross-check it.
+    of each equal truncated_mzv_numeric's up to float rounding.  The
+    2^(k-1) compositions are never enumerated: their truncated sums per
+    (weight, depth) are read off the convolution identity for theta_{N;w}
+    from e, p and h, about 3k float passes over m = 1..n_trunc in blocks of
+    fixed size, so memory stays flat in n_trunc; a (weight, depth) fold adds
+    the tail corrections and bounds.  At the default n_trunc that takes
+    about 0.2 s at k = 10 and 0.5 s at k = 24.  Independent of the
+    graded-exact route, which tests use to cross-check it.
     """
     _require_int("k", k, 1)
     _require_int("n_trunc", n_trunc, 1000)

@@ -4,8 +4,9 @@ Rationals, dense polynomials in one variable, truncated power series, and the
 small combinatorial number tables the rest of the package leans on.
 _over_lcm is the package's one step from rationals to Python ints, scaled by
 the lcm of the denominators; the integer routes start from it and build one
-Fraction per output value.  Nothing in this module touches floats; callers
-convert at the edge when they need numerics.
+Fraction per output value, through _fraction_poly for a polynomial.  Nothing
+in this module touches floats; callers convert at the edge when they need
+numerics.
 """
 
 from __future__ import annotations
@@ -405,6 +406,13 @@ def _over_lcm(values: Iterable) -> tuple[int, list[int]]:
     vs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     den = math.lcm(*(v.denominator for v in vs))
     return den, [v.numerator * (den // v.denominator) for v in vs]
+
+
+def _fraction_poly(coeffs, denominator: int) -> Poly:
+    """The polynomial with coefficients c / denominator, one Fraction each,
+    for integer coefficients c (lowest power first): the other end of the
+    integer routes that start from _over_lcm."""
+    return Poly([Fraction(c, denominator) for c in coeffs])
 
 
 def det_exact(rows: Sequence[Sequence]) -> Fraction:

@@ -19,7 +19,7 @@ import os
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .exact import Poly, _over_lcm, _require_int, _validate_nk, binomial
+from .exact import Poly, _fraction_poly, _over_lcm, _require_int, _validate_nk, binomial
 from .weights import WeightSequence, _scaled_weights
 from .weights import weight_at  # noqa: F401  the benchmark tracer's self-test patches it here
 
@@ -158,15 +158,6 @@ def _bucket_sums(ints: list, n: int, k: int, key) -> dict:
     return buckets
 
 
-def _poly_over(buckets: dict, k: int, denominator: int) -> Poly:
-    """The polynomial whose coefficient j is buckets[j] / denominator: one
-    Fraction per coefficient."""
-    coeffs = [0] * max(k, 1)
-    for j, w in buckets.items():
-        coeffs[j] += w
-    return Poly([Fraction(c, denominator) for c in coeffs])
-
-
 def theta_bruteforce(
     seq: WeightSequence,
     n: int,
@@ -215,14 +206,15 @@ def theta_bruteforce(
         return Fraction(total, tscale**top * scale**k)
 
     if qv is None:
-        return _poly_over(_bucket_sums(ints, n, k, sigma), k, scale**k)
+        buckets = _bucket_sums(ints, n, k, sigma)
+        return _fraction_poly([buckets.get(j, 0) for j in range(max(k, 1))], scale**k)
     # q = u / v; p_norm <= n*k, so v^(n*k) q^p is an integer
     u, v = qv.numerator, qv.denominator
     top = n * k
-    by_sigma: dict = {}
+    by_sigma = [0] * max(k, 1)
     for (j, p), w in _bucket_sums(ints, n, k, lambda ms: (sigma(ms), p_norm(ms))).items():
-        by_sigma[j] = by_sigma.get(j, 0) + w * u**p * v ** (top - p)
-    return _poly_over(by_sigma, k, v**top * scale**k)
+        by_sigma[j] += w * u**p * v ** (top - p)
+    return _fraction_poly(by_sigma, v**top * scale**k)
 
 
 def theta_marginal_bruteforce(
@@ -243,4 +235,4 @@ def theta_marginal_bruteforce(
     _check_budget(n, k, budget)
     scale, ints = _scaled_weights(seq, n)
     buckets = _bucket_sums(ints, n, k, lambda ms: sigma_refined(ms, n)[i - 1])
-    return _poly_over(buckets, k, scale**k)
+    return _fraction_poly([buckets.get(j, 0) for j in range(max(k, 1))], scale**k)

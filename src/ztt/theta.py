@@ -65,6 +65,7 @@ from typing import Sequence
 from .exact import (
     Poly,
     Series,
+    _fraction_poly,
     _over_lcm,
     _require_int,
     _stirling_rows,
@@ -221,12 +222,6 @@ def _newton_scaled(seq: WeightSequence, n: int, k: int) -> tuple[int, list[int],
     # theta_0 = 1 reads no weight, so k = 0 leaves a_1..a_n unread
     scale, ints = _scaled_weights(seq, n) if k else (1, [])
     return (scale, *_newton_eh(_power_sums_scaled(ints, k), k, 1, _divide_exact))
-
-
-def _fraction_poly(coeffs, denominator: int) -> Poly:
-    """The polynomial with coefficients c / denominator, one Fraction each,
-    for integer coefficients c (lowest power first)."""
-    return Poly([Fraction(c, denominator) for c in coeffs])
 
 
 def theta_newton_ladder(seq: WeightSequence, n: int, k: int) -> list[Poly]:

@@ -45,7 +45,7 @@ from ztt.distributions import (
 )
 from ztt.exact import Poly
 from ztt.oracle import compositions, theta_marginal_bruteforce
-from ztt.theta import multiple_harmonic, zeta_star_ones
+from ztt.theta import multiple_harmonic, theta_det, zeta_star_ones
 from ztt.weights import OnesWeights, ZetaWeights
 
 F = Fraction
@@ -298,6 +298,23 @@ def test_s_infinity_2_depths_equal_composition_sums(n_trunc):
         for depth in range(1, k + 1):
             assert abs(values[depth] - want_values[depth]) <= want_bounds[depth], (k, depth)
             assert math.isclose(bounds[depth], want_bounds[depth], rel_tol=1e-9), (k, depth)
+
+
+def test_s_infinity_2_truncated_sums_equal_theta_coefficients():
+    # T[l][w] = [t^(w-l)] theta_{N;w} for 1/m^2 weights; theta_det shares no
+    # step with the convolution identity the float table is read from
+    n_trunc = 1000
+    T = dist._sinf_truncated_sums(8, n_trunc)
+    for w in range(1, 9):
+        poly = theta_det(ZetaWeights(2), n_trunc, w).poly
+        # row 1 is the power sum zeta_N(2w), one fsum of terms each within w
+        # roundings; read off the identity it drifts by about 10 ulps here
+        assert abs(Fraction(T[1][w]) - poly.coefficient(w - 1)) <= (
+            (w + 2) * 2.0**-53 * poly.coefficient(w - 1)), w
+        for depth in range(2, w + 1):
+            allowance = 1e-15 * n_trunc * depth * math.comb(w - 1, depth - 1)
+            err = abs(Fraction(T[depth][w]) - poly.coefficient(w - depth))
+            assert err <= allowance, (w, depth, float(err / allowance))
 
 
 def test_sum_theorem():
