@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import distributions as dist
 from . import oracle, theta, verify

@@ -28,8 +28,8 @@ from .theta import (
     _bernstein_to_power,
     _elementary_scaled,
     _homogeneous_scaled,
+    _newton_identity,
     _power_sums_scaled,
-    multiple_harmonic,
     theta_infinite_zeta,
     theta_multi_eval,
     theta_newton,  # noqa: F401  the benchmark tracer's self-test patches this name here
@@ -507,8 +507,9 @@ def _sinf_truncated_sums(k: int, n_trunc: int) -> list[list[float]]:
 
     with e_i = zeta_N({2}_i) from the prefix sums e_i(m) = e_i(m-1) +
     m^-2 e_(i-1)(m-1), p_j = zeta_N(2j) from power sums, and h_j =
-    zeta*_N({2}_j) from Newton's identity j h_j = sum_i p_i h_(j-i): about
-    3k passes over m = 1..N (k prefix sums, k powers, k power sums).
+    zeta*_N({2}_j) from Newton's identity j h_j = sum_i p_i h_(j-i)
+    (theta._newton_identity on floats, the routine the integer routes run):
+    about 3k passes over m = 1..N (k prefix sums, k powers, k power sums).
 
     The caller's noise allowance 1e-15 N l C(w-1, l-1) on T[l][w] still
     covers rounding.  e, p and h are sums of positive terms, so each has
@@ -535,9 +536,7 @@ def _sinf_truncated_sums(k: int, n_trunc: int) -> list[list[float]]:
         for i in range(1, k + 1):
             prev = array("d", itertools.accumulate(map(operator.mul, x, prev), initial=e[i]))
             e[i] = prev[-1]
-    h = [1.0] + [0.0] * k
-    for j in range(1, k + 1):
-        h[j] = math.fsum(p[i] * h[j - i] for i in range(1, j + 1)) / j
+    h = _newton_identity(p, k, 1.0, operator.truediv)
     T = [[0.0] * (k + 1) for _ in range(k + 1)]
     T[0][0] = 1.0
     T[1][1:] = p[1:]

@@ -34,18 +34,20 @@ the end; Poly and the ring-generic Series keep int coefficients int.
 Every step from rationals to integers is exact._over_lcm, and
 weights._scaled_weights reads the weights through it once as L and L*a_m.
 theta_newton, the default, sums their powers P_j = L^j p_j (n*k integer
-products) and runs Newton's identities on them (_newton_identity), once
-for H'_i = L^i h_i and once, on the sign-flipped sums, for E'_i = L^i e_i:
-about k^2 integer products.  Rung i of L^i theta in the Bernstein basis
-t^a (1-t)^(i-a) is then the i + 1 products H'_a E'_{i-a}
-(_bernstein_terms), converted once to powers of t (_bernstein_to_power).
+products, _power_sums_scaled) and runs Newton's identities on them
+(_newton_identity), once for H'_i = L^i h_i and once, on the sign-flipped
+sums, for E'_i = L^i e_i: about k^2 integer products.  Rung i of L^i theta
+in the Bernstein basis t^a (1-t)^(i-a) is then the i + 1 products
+H'_a E'_{i-a} (_bernstein_terms), converted once to powers of t
+(_bernstein_to_power).
 theta_product and theta_multi_eval share _factor_product, one Series
 product per factor on L*a_m, with the Poly t or the integers T*t_m.
 theta_bell and theta_det share _by_evaluation: it forms the integers
-L^j alpha_j(x) from the Fraction weights.power_sum and L at x = 0..k-1,
-each route returns k! L^k theta_k(x) there (k(k+1)/2 Bell products, or
-one det_exact Bareiss run of about k^3/3), and one interpolation gives
-the coefficients.
+L^j alpha_j(x) from the same P_j at x = 0..k-1, each route returns
+k! L^k theta_k(x) there (k(k+1)/2 Bell products, or one det_exact Bareiss
+run of about k^3/3), and one interpolation gives the coefficients.  So
+Newton, Bell and det share their power sums; theta_product,
+theta_convolution and the oracle read none, and catch a wrong one.
 _elementary_scaled and _homogeneous_scaled reach E' and H' by a second
 route, the direct e and h recurrences on L*a_m in O(n*k) big-int
 multiply-adds; the laws in ztt.distributions assemble their products with
@@ -82,7 +84,7 @@ from .weights import (
     WeightSequence,
     ZetaWeights,
     _scaled_weights,
-    power_sum,
+    power_sum,  # noqa: F401  the benchmark tracer's self-test patches this name here
     weight_at,
 )
 
@@ -285,9 +287,9 @@ def _by_evaluation(seq: WeightSequence, n: int, k: int, value_at) -> ThetaPoly:
 
     value_at(alpha, k) returns V(x) from alpha = [None, alpha'_1, ...,
     alpha'_k] at t = x, where alpha'_j = L^j alpha_j and alpha_j(t) =
-    p_j (t^j - (t-1)^j) for the j-th power sum p_j of a_1..a_n.  p_j is the
-    Fraction weights.power_sum and L the lcm of the denominators of
-    a_1..a_n, so P_j = L^j p_j is an integer; a non-integer is refused.
+    p_j (t^j - (t-1)^j) for the j-th power sum p_j of a_1..a_n.  With L the
+    lcm of the denominators of a_1..a_n, P_j = L^j p_j is the integer
+    power sum of L*a_1, ..., L*a_n (_power_sums_scaled), as in theta_newton.
 
     V has degree at most k - 1, so its k values fix it.  Forward
     differences give its coefficients d_i in the binomial basis
@@ -298,14 +300,8 @@ def _by_evaluation(seq: WeightSequence, n: int, k: int, value_at) -> ThetaPoly:
     _validate_nk(n, k)
     if k == 0:
         return ThetaPoly(n, k, seq, Poly.one())
-    sums = [power_sum(seq, n, j) for j in range(1, k + 1)]
-    scale = _scaled_weights(seq, n)[0]
-    P = [None]
-    for j, pj in enumerate(sums, 1):
-        scaled = pj * scale**j
-        if scaled.denominator != 1:
-            raise ArithmeticError(f"L^{j} p_{j} = {scaled} is not an integer")
-        P.append(scaled.numerator)
+    scale, ints = _scaled_weights(seq, n)
+    P = _power_sums_scaled(ints, k)
     values = [value_at([None] + [P[j] * (x**j - (x - 1) ** j) for j in range(1, k + 1)], k)
               for x in range(k)]
     diffs = []

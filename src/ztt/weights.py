@@ -1,10 +1,11 @@
 """Weight sequences a_1, a_2, ... of positive rationals.
 
 Four built-in families (ones, linear, reciprocal powers, q-scaled) plus
-finite custom lists, the Fraction power sums sum_{m<=n} a_m^j that
-theta_bell and theta_det consume, and _scaled_weights, the one read of
-a_1..a_n as scaled integers that the integer routes, the laws and the
-oracle share.  Configurations round-trip through a small JSON schema.
+finite custom lists, the Fraction power sums sum_{m<=n} a_m^j that the
+tests hold the integer routes' power sums against, and _scaled_weights,
+the one read of a_1..a_n as scaled integers that the integer routes, the
+laws and the oracle share.  Configurations round-trip through a small JSON
+schema.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "CustomWeights",
     "weight_at",
     "power_sum",
-    "has_distinct_terms",
     "parse_weight_config",
     "load_weight_config",
     "builtin_weights",
@@ -158,12 +158,6 @@ def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:
             f"power sum up to n={n} exceeds the {upper} available custom weights"
         )
     return sum((weight_at(seq, m) ** j for m in range(1, n + 1)), Fraction(0))
-
-
-def has_distinct_terms(seq: WeightSequence, n: int) -> bool:
-    """True when a_1, ..., a_n are pairwise distinct."""
-    terms = [weight_at(seq, m) for m in range(1, n + 1)]
-    return len(set(terms)) == n
 
 
 _ALLOWED_KEYS = {

@@ -521,6 +521,21 @@ def test_newton_identities_equal_eh_recurrences(vals, k):
     assert es == _elementary_scaled(ints, k), vals
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_random_weights(12).map(lambda vals: (CustomWeights(tuple(vals)), len(vals))),
+                 st.tuples(st.sampled_from(BUILTINS), st.integers(1, 30))),
+       st.integers(0, 12))
+def test_power_sums_scaled_equal_fraction_power_sums(seq_n, k):
+    # the integer P_j that theta_newton, theta_bell and theta_det read,
+    # against the term-by-term Fraction sums that no route reads
+    seq, n = seq_n
+    scale, ints = _scaled_weights(seq, n)
+    sums = _power_sums_scaled(ints, k)
+    assert len(sums) == k + 1 and sums[0] is None
+    for j in range(1, k + 1):
+        assert sums[j] == power_sum(seq, n, j) * scale**j, (seq, n, j)
+
+
 @settings(max_examples=25, deadline=None)
 @given(_random_weights(8), st.integers(0, 12))
 def test_newton_ladder_satisfies_coupled_recurrence(vals, k):

@@ -14,7 +14,6 @@ from ztt.weights import (
     WeightConfigError,
     ZetaWeights,
     builtin_weights,
-    has_distinct_terms,
     load_weight_config,
     parse_weight_config,
     power_sum,
@@ -80,14 +79,6 @@ def test_q_modified_validation():
         QModifiedWeights(OnesWeights(), F(0))
     with pytest.raises(WeightConfigError):
         QModifiedWeights(OnesWeights(), F(-1, 2))
-
-
-def test_distinct_terms():
-    assert not has_distinct_terms(OnesWeights(), 3)
-    assert has_distinct_terms(OnesWeights(), 1)
-    assert has_distinct_terms(LinearWeights(), 10)
-    assert has_distinct_terms(ZetaWeights(2), 10)
-    assert not has_distinct_terms(CustomWeights((F(1), F(2), F(1))), 3)
 
 
 def test_builtin_names():
