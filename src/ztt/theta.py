@@ -24,9 +24,12 @@ A sixth route (theta_partial_fraction) evaluates at a fixed t by partial
 fractions when the weights are pairwise distinct, on the integers D/a_m
 with D the lcm of the weight numerators and one Fraction per pole; a
 seventh (theta_ordered_partitions) sums truncated multiple zeta values over
-all compositions of k.  theta_multi_eval, one t per weight index, runs
-theta_product's factor product on L*a_m and T*t_m, T the lcm of the t
-denominators, and builds one Fraction at the end.
+all compositions of k, each a multiple_harmonic: one _strict_block, the
+prefix sums Z_j(m) = Z_j(m-1) + m^-s_j Z_{j+1}(m-1) of every suffix at once
+in any ring, which the float helpers of ztt.distributions run in blocks.
+theta_multi_eval, one t per weight index, runs theta_product's factor
+product on L*a_m and T*t_m, T the lcm of the t denominators, and builds one
+Fraction at the end.
 
 Four of the five constructions run on integers scaled by L, the lcm of
 the denominators of a_1..a_n, and build one Fraction per coefficient at
@@ -58,6 +61,7 @@ integer route, as the references.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -437,30 +441,34 @@ def theta_partial_fraction(seq: WeightSequence, n: int, k: int, t0) -> Fraction:
                                               t0.denominator**k * v**n)
 
 
+def _strict_block(xs: Sequence[list], vals: list) -> None:
+    """Advance Z_i(m) = Z_i(m-1) + x_i(m) Z_{i-1}(m-1), the strict sums of the
+    depth-i suffix (innermost first), in place over one block m = m0..m1-1.
+    vals[0] is the ring's unit (X_0 = one in _newton_identity); vals[i]
+    carries Z_i from m0-1 to m1-1, and xs[i-1] holds x_i(m0..m1-1).
+    """
+    prev = itertools.repeat(vals[0])
+    for i, x in enumerate(xs, 1):
+        # map stops at len(x), so position t pairs m = m0+t with Z_{i-1}(m-1)
+        prev = list(itertools.accumulate(map(operator.mul, x, prev), initial=vals[i]))
+        vals[i] = prev[-1]
+
+
 def multiple_harmonic(n: int, indices: Sequence[int]) -> Fraction:
     """Truncated multiple zeta value with strictly decreasing summation:
 
         zeta_n(i_1, ..., i_d) = sum_{n >= l_1 > ... > l_d >= 1}
                                 prod_u 1 / l_u^{i_u}.
 
-    Empty index list gives 1; depth exceeding n gives 0.
+    Empty index list gives 1; depth exceeding n gives 0: one _strict_block.
     """
     _require_int("n", n, 0)
     idx = tuple(indices)
     for i in idx:
         _require_int("every index", i, 1)
-    if not idx:
-        return Fraction(1)
-    if len(idx) > n:
-        return Fraction(0)
-    # suffix[l] = inner sum over chains below l, built innermost index first
-    suffix = [Fraction(1)] * (n + 1)
-    for s in reversed(idx):
-        nxt = [Fraction(0)] * (n + 1)
-        for l in range(1, n + 1):
-            nxt[l] = nxt[l - 1] + Fraction(1, l**s) * suffix[l - 1]
-        suffix = nxt
-    return suffix[n]
+    vals = [Fraction(1)] + [Fraction(0)] * len(idx)
+    _strict_block([[Fraction(1, m**s) for m in range(1, n + 1)] for s in reversed(idx)], vals)
+    return vals[-1]
 
 
 def zeta_star_ones(n: int, k: int) -> Fraction:

@@ -221,7 +221,12 @@ def test_empty_limits_grid_is_usage_error(tmp_path, capsys):
     (("theta", "--n", "2", "--k=-1..2"), "needs k >= 0, got -1"),
     (("limits", "--regime", "poisson_multiset", "--grid", "-5"),
      "needs grid point >= 1, got -5"),
-], ids=["theta-n0", "theta-all-n0", "theta-oracle-n0", "theta-negative-k", "limits-negative-grid"])
+    (("limits", "--regime", "normal_multiset", "--grid", "1"),
+     "needs grid point >= 2, got 1"),
+    (("limits", "--regime", "sum_theorem_negbin", "--grid", "1"),
+     "needs grid point >= 2, got 1"),
+], ids=["theta-n0", "theta-all-n0", "theta-oracle-n0", "theta-negative-k",
+        "limits-negative-grid", "limits-normal-grid1", "limits-negbin-grid1"])
 def test_out_of_range_cell_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out

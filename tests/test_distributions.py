@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,9 @@ def test_truncated_mzv_numeric():
     assert abs(val - math.pi**2 / 6) < err + 1e-12
     val2, err2 = truncated_mzv_numeric((2, 2), 10000)
     assert abs(val2 - math.pi**4 / 120) < err2 + 1e-12
+    # the terms m^-400 underflow to 0 from m = 7 on, where m^400 overflowed;
+    # zeta(400, 2) is 2^-400 (1 + (2/3)^400 * 5/4 + ...)
+    assert math.isclose(truncated_mzv_numeric((400, 2), 10)[0], 2.0**-400, rel_tol=1e-12)
     with pytest.raises(ValueError):
         truncated_mzv_numeric((1, 2), 100)
     with pytest.raises(ValueError):
@@ -298,6 +302,21 @@ def test_s_infinity_2_depths_equal_composition_sums(n_trunc):
         for depth in range(1, k + 1):
             assert abs(values[depth] - want_values[depth]) <= want_bounds[depth], (k, depth)
             assert math.isclose(bounds[depth], want_bounds[depth], rel_tol=1e-9), (k, depth)
+
+
+@pytest.mark.parametrize("call", [lambda: truncated_mzv_numeric((2, 3), 200_000),
+                                  lambda: s_infinity_2_pmf(6, 200_000)],
+                         ids=["truncated_mzv_numeric", "s_infinity_2_pmf"])
+def test_float_helpers_memory_is_flat_in_n_trunc(call):
+    # both pass over m in blocks of dist._BLOCK; one list of 200,000 floats
+    # alone would take 6.4 MB
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_s_infinity_2_truncated_sums_equal_theta_coefficients():

@@ -1,16 +1,19 @@
 """The five polynomial constructions and their closed-form relatives."""
 
+import itertools
 import json
+import math
 import operator
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ztt.distributions import (
+    _mzv_dp_float,
     bezier_coeffs,
     d_n_pmf,
     hypergeom_moments,
@@ -39,6 +42,7 @@ from ztt.theta import (
     _newton_eh,
     _newton_identity,
     _power_sums_scaled,
+    _strict_block,
     GradedValue,
     ThetaPoly,
     closed_form_ones_bivariate,
@@ -275,6 +279,35 @@ def test_multiple_harmonic():
     assert multiple_harmonic(3, (1, 1)) == F(1, 2) + F(1, 3) + F(1, 6)
     assert multiple_harmonic(2, (1, 1, 1)) == 0
     assert multiple_harmonic(0, (2,)) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12), st.lists(st.integers(1, 4), max_size=13),
+       st.integers(1, 13), st.integers(0, 40))
+@example(5, [], 1, 40)
+@example(2, [1, 2, 3], 2, 40)
+@example(12, [1] * 12 + [2], 7, 40)
+def test_strict_step_against_chain_sums(n, idx, cut, n_float):
+    # every chain n >= l_1 > ... > l_d >= 1, summed term by term: this shares
+    # nothing with _strict_block, the step multiple_harmonic and the float
+    # helpers run
+    chains = itertools.combinations(range(n, 0, -1), len(idx))
+    want = sum((math.prod(Fraction(1, l**s) for l, s in zip(chain, idx)) for chain in chains),
+               Fraction(0))
+    assert multiple_harmonic(n, idx) == want
+    # two blocks chain through the carried values to the same sums
+    vals = [Fraction(1)] + [Fraction(0)] * len(idx)
+    for ms in (range(1, min(cut, n + 1)), range(min(cut, n + 1), n + 1)):
+        _strict_block([[Fraction(1, m**s) for m in ms] for s in reversed(idx)], vals)
+    assert vals[-1] == want
+    # floats, on indices >= 2 and N <= 40 outer indices: a term m^-s is
+    # within 2 roundings, its product with the inner level one more, and the
+    # level's sum of at most N positive terms N - 1 more, so a suffix of
+    # depth d is within d (N + 2) 2^-53 relative of its exact value
+    big = [s + 1 for s in idx]
+    for j, got in enumerate(_mzv_dp_float(big, n_float)):
+        exact = multiple_harmonic(n_float, big[j:])
+        assert abs(Fraction(got) - exact) <= (len(big) - j) * (n_float + 2) * 2**-53 * exact, j
 
 
 def test_zeta_star_and_t_values():
