@@ -223,7 +223,7 @@ class Series:
     truncates at order K and requires both operands to share the order.
     Missing coefficients are the zero of the first one's ring (else int 0),
     so a product of two series over int, Fraction or Poly stays in that
-    ring; theta._factor_product and distributions.bernoulli_sum_pmf run on it.
+    ring; distributions.bernoulli_sum_pmf runs on it.
     """
 
     __slots__ = ("order", "coeffs")

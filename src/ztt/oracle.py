@@ -2,7 +2,9 @@
 
 The enumeration is deliberately naive: walk every weakly decreasing k-tuple
 over {1..n}, read off its statistics, and accumulate.  The fast algorithms
-elsewhere are tested against these sums, never the other way around.
+elsewhere are tested against these sums, never the other way around.  The
+walk itself is itertools.combinations_with_replacement over n, n-1, ..., 1,
+so the tuples come from C; every one is still visited, C(n+k-1, k) in all.
 
 Only the arithmetic is not naive.  weights._scaled_weights reads the
 weights once as b_m = L*a_m, L the lcm of their denominators; each multiset
@@ -13,6 +15,7 @@ weight read are shared with the routes it checks; nothing of ztt.theta is.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -152,7 +155,7 @@ def _bucket_sums(ints: list, n: int, k: int, key) -> dict:
     multiset ms with that key: L^k times the total weight of the class."""
     buckets: dict = {}
     entry = [None, *ints].__getitem__  # multiset entries count from 1
-    for ms in enumerate_multisets(n, k):
+    for ms in itertools.combinations_with_replacement(range(n, 0, -1), k):
         stat = key(ms)
         buckets[stat] = buckets.get(stat, 0) + math.prod(map(entry, ms))
     return buckets

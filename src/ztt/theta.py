@@ -13,7 +13,7 @@ multiple zeta values and their starred variants.
 
 Five structurally different constructions of the same polynomial live here:
 
-  theta_product      coefficient extraction from a truncated series product
+  theta_product      coefficient extraction from a product of per-value factors
   theta_newton       Newton's identities for h and e on power sums
   theta_bell         complete Bell polynomial of scaled power sums
   theta_det          scaled determinant of a banded power-sum matrix
@@ -33,7 +33,7 @@ Fraction at the end.
 
 Four of the five constructions run on integers scaled by L, the lcm of
 the denominators of a_1..a_n, and build one Fraction per coefficient at
-the end; Poly and the ring-generic Series keep int coefficients int.
+the end; Poly keeps int coefficients int.
 Every step from rationals to integers is exact._over_lcm, and
 weights._scaled_weights reads the weights through it once as L and L*a_m.
 theta_newton, the default, sums their powers P_j = L^j p_j (n*k integer
@@ -43,8 +43,10 @@ sums, for E'_i = L^i e_i: about k^2 integer products.  Rung i of L^i theta
 in the Bernstein basis t^a (1-t)^(i-a) is then the i + 1 products
 H'_a E'_{i-a} (_bernstein_terms), converted once to powers of t
 (_bernstein_to_power).
-theta_product and theta_multi_eval share _factor_product, one Series
-product per factor on L*a_m, with the Poly t or the integers T*t_m.
+theta_product and theta_multi_eval share _factor_product on L*a_m, with
+the Poly t or the integers T*t_m: factor m is the geometric series
+1 + b_m T z / (1 - b_m t_m z), so multiplying by it is one forward pass over
+the k + 1 coefficients, O(n*k) ring operations in all.
 theta_bell and theta_det share _by_evaluation: it forms the integers
 L^j alpha_j(x) from the same P_j at x = 0..k-1, each route returns
 k! L^k theta_k(x) there (k(k+1)/2 Bell products, or one det_exact Bareiss
@@ -70,7 +72,6 @@ from typing import Sequence
 
 from .exact import (
     Poly,
-    Series,
     _fraction_poly,
     _over_lcm,
     _require_int,
@@ -257,31 +258,36 @@ def theta_newton(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
 
 
 def _factor_product(ints: list[int], ts: Sequence, tscale: int, k: int):
-    """[z^k] of prod_m (1 + sum_{j=1..k} b_m^j t_m^(j-1) T z^j) for b_m in
-    ints, t_m in ts and T = tscale, one Series product per factor: a run of
-    j copies of value m has weight a_m^j and j-1 adjacent equal pairs.  t_m
-    is the Poly t in theta_product and an int in theta_multi_eval."""
-    acc = Series.one(k)
+    """[z^k] of prod_m (1 + b_m T z / (1 - b_m t_m z)) for b_m in ints, t_m in
+    ts and T = tscale: a run of j copies of value m has weight a_m^j and j-1
+    adjacent equal pairs, the term b_m^j t_m^(j-1) T z^j.  Multiplying the
+    coefficients A_0..A_k by one factor is one forward pass over its
+    geometric tail G_i = b_m (t_m G_{i-1} + T A_{i-1}), G_0 = 0, adding G_i
+    to A_i with A_{i-1} read before this factor: O(n*k) ring operations.
+    t_m is the Poly t in theta_product and an int in theta_multi_eval.
+    """
+    acc = [1] + [0] * k
     for b, t in zip(ints, ts):
-        coeffs = [1, b * tscale][:k + 1]
-        while len(coeffs) <= k:
-            coeffs.append(coeffs[-1] * b * t)
-        acc = acc * Series(k, coeffs)
-    return acc.coefficient(k)
+        g, prev = 0, acc[0]
+        for i in range(1, k + 1):
+            g = b * (t * g + tscale * prev)
+            prev = acc[i]
+            acc[i] = prev + g
+    return acc[k]
 
 
 def theta_product(seq: WeightSequence, n: int, k: int) -> ThetaPoly:
     """theta as [z^k] of the product of per-weight factors.
 
-    Factor m is 1 + sum_{j=1..k} a_m^j t^(j-1) z^j (_factor_product with
-    every t_m the Poly t and T = 1).  The product runs on the integers
-    b_m = L*a_m (_scaled_weights), so every coefficient stays an int and
-    [z^k] is L^k theta_k.
+    Factor m is 1 + a_m z / (1 - a_m t z): _factor_product with every t_m
+    the Poly t and T = 1, O(n*k) operations on Polys of degree below k.
+    The product runs on the integers b_m = L*a_m (_scaled_weights), so
+    every coefficient stays an int and [z^k] is L^k theta_k.
     """
     _validate_nk(n, k)
     scale, ints = _scaled_weights(seq, n)
     top = _factor_product(ints, [Poly((0, 1))] * n, 1, k)
-    # [z^0] and [z^1] carry no t, so they come back as ints
+    # [z^0] is the int 1; every later coefficient comes back as a Poly
     coeffs = top.coeffs if isinstance(top, Poly) else (top,)
     return ThetaPoly(n, k, seq, _fraction_poly(coeffs, scale**k))
 
@@ -559,7 +565,7 @@ def theta_multi_eval(seq: WeightSequence, n: int, k: int, tvec: Sequence) -> Fra
 
     Each multiset contributes w(m) * prod_i t_i^(adjacent equal pairs of
     value i); the per-value variable only changes factor m of
-    theta_product's series product, so the same _factor_product runs.
+    theta_product's product, so the same _factor_product runs.
 
     It runs on integers: with b_m = L*a_m (_scaled_weights) and s_m = T*t_m,
     T the lcm of the denominators of the t_m, factor m has coefficients

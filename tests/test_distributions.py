@@ -304,12 +304,12 @@ def test_s_infinity_2_depths_equal_composition_sums(n_trunc):
             assert math.isclose(bounds[depth], want_bounds[depth], rel_tol=1e-9), (k, depth)
 
 
-@pytest.mark.parametrize("call", [lambda: truncated_mzv_numeric((2, 3), 200_000),
-                                  lambda: s_infinity_2_pmf(6, 200_000)],
+@pytest.mark.parametrize("call", [lambda: truncated_mzv_numeric((2, 3), 50_000),
+                                  lambda: s_infinity_2_pmf(6, 50_000)],
                          ids=["truncated_mzv_numeric", "s_infinity_2_pmf"])
 def test_float_helpers_memory_is_flat_in_n_trunc(call):
-    # both pass over m in blocks of dist._BLOCK; one list of 200,000 floats
-    # alone would take 6.4 MB
+    # both pass over m in blocks of dist._BLOCK; one list of 50,000 floats
+    # alone would take 1.6 MB, and an unblocked pass holds several
     tracemalloc.start()
     try:
         call()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ztt.exact import Poly
 from ztt.oracle import (
     BudgetExceededError,
+    _bucket_sums,
     compositions,
     count_multisets,
     enumerate_multisets,
@@ -37,6 +38,20 @@ def test_enumeration_counts_and_order():
                 assert all(1 <= v <= n for v in t)
     assert list(enumerate_multisets(2, 3)) == [
         (1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2)]
+
+
+def test_bucket_walk_visits_each_multiset_once():
+    # keyed by the tuple itself, each bucket holds the product of the
+    # distinct primes of its entries exactly once: a second visit would
+    # double it, and a tuple out of order would be a key of its own
+    primes = [2, 3, 5, 7, 11, 13]
+    for n in range(1, 7):
+        for k in range(0, 7):
+            buckets = _bucket_sums(primes[:n], n, k, key=lambda ms: ms)
+            assert buckets == {ms: prod(primes[v - 1] for v in ms)
+                               for ms in enumerate_multisets(n, k)}
+            for ms in buckets:
+                assert all(a >= b for a, b in zip(ms, ms[1:]))
 
 
 def test_sigma_and_shape():

@@ -31,13 +31,15 @@ from ztt.distributions import (
     s_pmf,
     sum_theorem_pmf,
 )
-from ztt.exact import Poly, binomial, stirling_first_unsigned, stirling_second, zeta_even_coeff
+from ztt.exact import (Poly, Series, binomial, stirling_first_unsigned, stirling_second,
+                       zeta_even_coeff)
 from ztt.oracle import compositions, theta_bruteforce, theta_marginal_bruteforce
 from ztt.theta import (
     ALGORITHMS,
     _bernstein_to_power,
     _divide_exact,
     _elementary_scaled,
+    _factor_product,
     _homogeneous_scaled,
     _newton_eh,
     _newton_identity,
@@ -470,6 +472,32 @@ def test_product_equals_newton_on_random_weights(vals, k):
     for i, rung in enumerate(ladder):
         assert rung == theta_convolution(seq, n, i).poly, (vals, i)
         assert rung == theta_product(seq, n, i).poly, (vals, i)
+
+
+def _series_factor_product(ints, ts, tscale, k):
+    """[z^k] of prod_m (1 + sum_{j=1..k} b_m^j T t_m^(j-1) z^j), one full
+    truncated Series product per factor: the O(n*k^2) form of the product."""
+    acc = Series.one(k)
+    for b, t in zip(ints, ts):
+        coeffs = [1, b * tscale][:k + 1]
+        while len(coeffs) <= k:
+            coeffs.append(coeffs[-1] * b * t)
+        acc = acc * Series(k, coeffs)
+    return acc.coefficient(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=4).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=7)),
+       st.integers(0, 8), st.integers(1, 6), st.data())
+def test_factor_product_pass_equals_series_product(ints, k, tscale, data):
+    # the forward pass over each factor's geometric tail against the full
+    # per-factor Series product, on integer t_m (0 included) and on the Poly t
+    ts = data.draw(st.lists(st.integers(0, 4), min_size=len(ints), max_size=len(ints)),
+                   label="ts")
+    assert _factor_product(ints, ts, tscale, k) == _series_factor_product(ints, ts, tscale, k)
+    t = [Poly((0, 1))] * len(ints)
+    assert _factor_product(ints, t, tscale, k) == _series_factor_product(ints, t, tscale, k)
 
 
 @pytest.mark.parametrize("algo", [theta_det, theta_bell], ids=["det", "bell"])
