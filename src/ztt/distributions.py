@@ -24,6 +24,7 @@ from .theta import (
     GradedValue,
     _bernstein_terms,
     _bernstein_to_power,
+    _divide_exact,
     _elementary_scaled,
     _homogeneous_scaled,
     _newton_identity,
@@ -263,13 +264,17 @@ def multiset_sigma_closed_moments(n: int, k: int, s_max: int = 2) -> MomentRepor
     return MomentReport(mean, variance, tuple(fms))
 
 
-def hypergeom_pmf(total: int, marked: int, draws: int) -> Pmf:
-    """Hy(N, K, n): successes drawing n without replacement from N with K marked."""
-    _require_int("N", total)
-    _require_int("K", marked)
-    _require_int("n", draws)
+def _hypergeom_guard(total: int, marked: int, draws: int) -> None:
+    """Refuse Hy(N, K, n) unless N, K, n are integers, 0 <= K <= N, 0 <= n <= N."""
+    for name, value in (("N", total), ("K", marked), ("n", draws)):
+        _require_int(name, value)
     if not (0 <= marked <= total and 0 <= draws <= total):
         raise ValueError("hypergeometric needs 0 <= K <= N and 0 <= n <= N")
+
+
+def hypergeom_pmf(total: int, marked: int, draws: int) -> Pmf:
+    """Hy(N, K, n): successes drawing n without replacement from N with K marked."""
+    _hypergeom_guard(total, marked, draws)
     lo = max(0, draws + marked - total)
     hi = min(marked, draws)
     masses = [
@@ -280,11 +285,8 @@ def hypergeom_pmf(total: int, marked: int, draws: int) -> Pmf:
 
 
 def hypergeom_moments(total: int, marked: int, draws: int, s_max: int = 2) -> MomentReport:
-    _require_int("N", total)
-    _require_int("K", marked)
-    _require_int("n", draws)
-    if not (0 <= marked <= total and 0 <= draws <= total) or total < 1:
-        raise ValueError("hypergeometric needs 0 <= K <= N and 0 <= n <= N, N >= 1")
+    _hypergeom_guard(total, marked, draws)
+    _require_int("N", total, 1)
     _require_int("s_max", s_max, 1)
 
     def fm(s):
@@ -644,13 +646,15 @@ def expected_sigma_zeta(n: int, k: int) -> Fraction:
 
         [sum_{l=0}^{k-2} H_n^(l+2) zeta*_n({1}_{k-l-2})] / zeta*_n({1}_k).
 
-    With L = lcm(1..n), H_n^(s) = P_s / L^s and zeta*_n({1}_j) = H'_j / L^j
-    from the integers L/m (_power_sums_scaled, _homogeneous_scaled); each term
-    carries L^-k, so the ratio is one Fraction sum_l P_{l+2} H'_{k-l-2} / H'_k.
+    With L = lcm(1..n), H_n^(s) = P_s / L^s and zeta*_n({1}_j) = H'_j / L^j,
+    H' by Newton's identity on the integer power sums P of L/m, not by the e/h
+    kernel that moments reads; each term carries L^-k, so the ratio is one
+    Fraction sum_l P_{l+2} H'_{k-l-2} / H'_k.
     """
     _validate_nk(n, k, kmin=1)
     _, ints = _scaled_weights(ZetaWeights(1), n)
-    sums, hs = _power_sums_scaled(ints, k), _homogeneous_scaled(ints, k)
+    sums = _power_sums_scaled(ints, k)
+    hs = _newton_identity(sums, k, 1, _divide_exact)
     return Fraction(sum(sums[l + 2] * hs[k - l - 2] for l in range(k - 1)), hs[k])
 
 

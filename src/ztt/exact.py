@@ -297,11 +297,7 @@ def gen_binomial(x, j: int) -> Fraction:
         raise ValueError("gen_binomial expects an integer lower index")
     if j < 0:
         return Fraction(0)
-    x = Fraction(x)
-    num = Fraction(1)
-    for i in range(j):
-        num *= x - i
-    return num / math.factorial(j)
+    return falling_factorial(Fraction(x), j) / math.factorial(j)
 
 
 def falling_factorial(x, s: int):

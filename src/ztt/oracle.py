@@ -35,7 +35,6 @@ __all__ = [
     "sigma",
     "sigma_refined",
     "p_norm",
-    "shape",
     "compositions",
     "theta_bruteforce",
     "theta_marginal_bruteforce",
@@ -121,19 +120,6 @@ def sigma_refined(ms: Sequence[int], n: int) -> tuple[int, ...]:
 def p_norm(ms: Sequence[int]) -> int:
     """Sum of the entries."""
     return sum(ms)
-
-
-def shape(ms: Sequence[int]) -> tuple[int, ...]:
-    """Multiplicities of the distinct values, largest value first."""
-    out: list[int] = []
-    prev = None
-    for v in ms:
-        if v == prev:
-            out[-1] += 1
-        else:
-            out.append(1)
-            prev = v
-    return tuple(out)
 
 
 def compositions(k: int) -> Iterator[tuple[int, ...]]:

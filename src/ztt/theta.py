@@ -585,12 +585,9 @@ def theta_qt(seq: WeightSequence, n: int, k: int, q) -> ThetaPoly:
 
     Tracks the size statistic p(m) = sum of entries through the substitution
     a_m -> a_m q^m: theta_product over QModifiedWeights(seq, q).  The
-    brute-force oracle's q refinement checks it independently.
+    brute-force oracle's q refinement checks it independently.  q <= 0 is
+    refused by QModifiedWeights (WeightConfigError), n and k by theta_product.
     """
-    _validate_nk(n, k)
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("theta_qt needs q > 0")
     return ThetaPoly(n, k, seq, theta_product(QModifiedWeights(seq, q), n, k).poly)
 
 

@@ -1,11 +1,11 @@
 """Weight sequences a_1, a_2, ... of positive rationals.
 
-Four built-in families (ones, linear, reciprocal powers, q-scaled) plus
-finite custom lists, the Fraction power sums sum_{m<=n} a_m^j that the
-tests hold the integer routes' power sums against, and _scaled_weights,
-the one read of a_1..a_n as scaled integers that the integer routes, the
-laws and the oracle share.  Configurations round-trip through a small JSON
-schema.
+Four built-in families (ones, linear, reciprocal powers of order 1..1000,
+q-scaled) plus finite custom lists, the Fraction power sums
+sum_{m<=n} a_m^j that the tests hold the integer routes' power sums
+against, and _scaled_weights, the one read of a_1..a_n as scaled integers
+that the integer routes, the laws and the oracle share.  Configurations
+round-trip through a small JSON schema.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import _over_lcm, _require_int, format_rational, parse_rational
+from .exact import _MAX_LITERAL_EXPONENT, _over_lcm, _require_int, format_rational, parse_rational
 
 __all__ = [
     "WeightConfigError",
@@ -70,14 +70,18 @@ class LinearWeights(WeightSequence):
 
 @dataclass(frozen=True)
 class ZetaWeights(WeightSequence):
-    """a_m = 1/m**order; its e/h sums are truncated multiple zeta values
-    and its j-th power sum up to n is the harmonic number H_n^(order*j)."""
+    """a_m = 1/m**order, order an integer in 1..1000; its e/h sums are truncated
+    multiple zeta values and its j-th power sum up to n is H_n^(order*j)."""
 
     order: int
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or isinstance(self.order, bool) or self.order < 1:
-            raise WeightConfigError("zeta weights need an integer order >= 1")
+        order = self.order
+        if isinstance(order, bool) or not isinstance(order, int):
+            shown = format_rational(order) if isinstance(order, Fraction) else repr(order)
+            raise WeightConfigError(f"zeta order must be an integer, got {shown}")
+        if not 1 <= order <= _MAX_LITERAL_EXPONENT:
+            raise WeightConfigError(f"zeta order {order} is outside 1..{_MAX_LITERAL_EXPONENT}")
 
     def term(self, m: int) -> Fraction:
         return Fraction(1, m**self.order)
@@ -149,14 +153,9 @@ def _scaled_weights(seq: WeightSequence, n: int) -> tuple[int, list[int]]:
 
 
 def power_sum(seq: WeightSequence, n: int, j: int) -> Fraction:
-    """sum_{m=1}^{n} a_m**j as a Fraction, summed term by term."""
+    """sum_{m=1}^{n} a_m**j, term by term; CustomWeights refuses an n past its end."""
     _require_int("n", n, 0)
     _require_int("j", j, 1)
-    upper = seq.upper_index()
-    if upper is not None and n > upper:
-        raise WeightConfigError(
-            f"power sum up to n={n} exceeds the {upper} available custom weights"
-        )
     return sum((weight_at(seq, m) ** j for m in range(1, n + 1)), Fraction(0))
 
 
@@ -201,11 +200,7 @@ def _build(cfg, depth: int = 0) -> WeightSequence:
     if kind == "zeta":
         if "m" not in cfg:
             raise WeightConfigError("zeta weights need the key 'm'")
-        m = cfg["m"]
-        if isinstance(m, bool) or not isinstance(m, int):
-            shown = format_rational(m) if isinstance(m, Fraction) else repr(m)
-            raise WeightConfigError(f"zeta order must be an integer, got {shown}")
-        return ZetaWeights(m)
+        return ZetaWeights(cfg["m"])
     if kind == "custom":
         if "values" not in cfg or not isinstance(cfg["values"], list):
             raise WeightConfigError("custom weights need a list under 'values'")

@@ -117,6 +117,15 @@ def test_custom_weights_range_error(tmp_path, capsys):
         assert "3 terms" in err
 
 
+def test_hostile_zeta_order_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "w.json"
+    p.write_text('{"kind": "zeta", "m": 1000000}')
+    for weights, order in (("zeta:1001", 1001), ("zeta:1000000", 1000000), (str(p), 1000000)):
+        code, out, err = run(capsys, "theta", "--weights", weights, "--n", "3", "--k", "2")
+        assert code == 2 and not out
+        assert err == f"error: zeta order {order} is outside 1..1000\n"
+
+
 def test_oversized_rational_is_usage_error(capsys):
     code, out, err = run(capsys, "theta", "--weights", "ones", "--n", "2",
                          "--k", "2", "--t", "1e1001")

@@ -117,6 +117,17 @@ def test_hypergeom_pmf_agrees_with_s_pmf():
             assert hypergeom_pmf(n + k - 1, k - 1, k) == s_pmf(OnesWeights(), n, k)
 
 
+def test_hypergeom_guard_edges():
+    # the shared guard admits N = 0, the empty urn; only the moments refuse it
+    assert hypergeom_pmf(0, 0, 0) == Pmf(0, (1,))
+    with pytest.raises(ValueError):
+        hypergeom_moments(0, 0, 0)
+    for args in ((3, 4, 1), (3, 1, 4), (3, -1, 1), (3, 1, -1)):
+        for law in (hypergeom_pmf, hypergeom_moments):
+            with pytest.raises(ValueError):
+                law(*args)
+
+
 def test_marginal_law_against_enumeration():
     ones = OnesWeights()
     for n in range(2, 7):

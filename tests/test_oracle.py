@@ -16,7 +16,6 @@ from ztt.oracle import (
     enumerate_multisets,
     oracle_budget,
     p_norm,
-    shape,
     sigma,
     sigma_refined,
     theta_bruteforce,
@@ -54,12 +53,11 @@ def test_bucket_walk_visits_each_multiset_once():
                 assert all(a >= b for a, b in zip(ms, ms[1:]))
 
 
-def test_sigma_and_shape():
+def test_multiset_statistics():
     assert sigma((3, 3, 2, 2, 2, 1)) == 3
     assert sigma((4, 3, 2, 1)) == 0
     assert sigma(()) == 0
     assert sigma((5,)) == 0
-    assert shape((3, 3, 2, 2, 2, 1)) == (2, 3, 1)
     assert p_norm((3, 3, 1)) == 7
     assert sigma_refined((3, 3, 2, 1), 4) == (0, 0, 1, 0)
     assert sum(sigma_refined((3, 3, 2, 2, 2, 1), 3)) == sigma((3, 3, 2, 2, 2, 1))

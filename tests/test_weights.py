@@ -51,6 +51,14 @@ def test_zeta_order_validation():
         ZetaWeights(0)
     with pytest.raises(WeightConfigError):
         ZetaWeights("2")
+    # the order shares the exponent bound of rational literals, so a huge
+    # order fails at once instead of building m**order for every weight
+    assert ZetaWeights(1000).term(2) == F(1, 2**1000)
+    for order in (1001, 10**6):
+        with pytest.raises(WeightConfigError, match=f"zeta order {order} is outside 1..1000"):
+            ZetaWeights(order)
+    with pytest.raises(WeightConfigError, match="got 3/2"):
+        parse_weight_config('{"kind": "zeta", "m": 1.5}')
 
 
 def test_zeta_order_refuses_bool():
@@ -72,6 +80,9 @@ def test_custom_validation():
     assert seq.upper_index() == 2
     with pytest.raises(WeightConfigError):
         seq.term(3)
+    # power_sum reaches the same refusal through weight_at
+    with pytest.raises(WeightConfigError):
+        power_sum(seq, 3, 1)
 
 
 def test_q_modified_validation():
@@ -126,6 +137,9 @@ def test_parse_config_rejections():
         '{"kind": "q_modified", "q": -Infinity, "base": {"kind": "ones"}}',
         '{"kind": "custom", "values": [1e1001]}',
         '{"kind": "zeta", "m": 2.0}',
+        '{"kind": "zeta", "m": 1.5}',
+        '{"kind": "zeta", "m": true}',
+        '{"kind": "zeta", "m": 1001}',
         '[1, 2, 3]',
     ]
     for text in bad:
