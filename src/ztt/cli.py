@@ -247,8 +247,7 @@ def _limits_table(args):
     if args.regime == "all":
         if args.grid is not None:
             raise UsageError("--grid needs a single --regime")
-        regimes = sorted(dist.DEFAULT_GRIDS)
-        scans = [(r, None) for r in regimes]
+        scans = [(r, None) for r in sorted(dist.REGIMES)]
     else:
         grid = None
         if args.grid is not None:
@@ -355,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tables, laws, and limit diagnostics for "
                     "interpolated weighted multiset sums.")
     sub = parser.add_subparsers(dest="command", required=True)
+    regimes = sorted(dist.REGIMES) + ["all"]
 
     p = sub.add_parser("theta", help="polynomial coefficient tables")
     _add_theta_flags(p)
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limits", help="limit-regime distance scans")
     p.add_argument("--regime", default="all",
-                   choices=sorted(dist.DEFAULT_GRIDS) + ["all"])
+                   choices=regimes)
     p.add_argument("--grid", default=None,
                    help="comma-separated parameter grid (single regime only)")
     _add_common(p)
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_theta_flags(p, required=False)
     p.add_argument("--smax", type=int, default=2)
     p.add_argument("--regime", default="all",
-                   choices=sorted(dist.DEFAULT_GRIDS) + ["all"])
+                   choices=regimes)
     p.add_argument("--grid", default=None)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", required=True, help="output file path")

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .exact import Poly, Series, _require_int, _validate_nk, binomial, falling_factorial
 from .theta import (
@@ -42,6 +42,7 @@ __all__ = [
     "FloatPmf",
     "MomentReport",
     "ScanRow",
+    "Regime",
     "pmf_from_masses",
     "shifted_pmf",
     "reflected_pmf",
@@ -75,6 +76,7 @@ __all__ = [
     "tv_distance",
     "kolmogorov_distance_to_normal",
     "limit_scan",
+    "REGIMES",
     "DEFAULT_GRIDS",
 ]
 
@@ -286,7 +288,6 @@ def hypergeom_pmf(total: int, marked: int, draws: int) -> Pmf:
 
 def hypergeom_moments(total: int, marked: int, draws: int, s_max: int = 2) -> MomentReport:
     _hypergeom_guard(total, marked, draws)
-    _require_int("N", total, 1)
     _require_int("s_max", s_max, 1)
 
     def fm(s):
@@ -760,34 +761,34 @@ def _ceil_sqrt(n: int) -> int:
     return r if r * r == n else r + 1
 
 
-def _scan_poisson_multiset(n: int) -> ScanRow:
+def _scan_poisson_multiset(n: int) -> tuple:
     # k = ceil(sqrt(n)) keeps k^2/n -> 1, the unit-rate regime
     k = _ceil_sqrt(n)
     pmf = hypergeom_pmf(n + k - 1, k - 1, k)
     ref = poisson_pmf(1.0, k + 60)
     mr = hypergeom_moments(n + k - 1, k - 1, k, 1)
-    return ScanRow("poisson_multiset", f"n={n}", float(mr.mean),
-                   tv_distance(pmf, ref))
+    return f"n={n}", float(mr.mean), tv_distance(pmf, ref)
 
 
-def _scan_normal_multiset(n: int) -> ScanRow:
+def _scan_normal_multiset(n: int) -> tuple:
     pmf = hypergeom_pmf(2 * n - 1, n - 1, n)
     mr = hypergeom_moments(2 * n - 1, n - 1, n, 2)
     sd = math.sqrt(float(mr.variance))
     ks = kolmogorov_distance_to_normal(pmf, float(mr.mean), sd)
-    return ScanRow("normal_multiset", f"n={n},k={n}", sd, ks)
+    return f"n={n},k={n}", sd, ks
 
 
-def _scan_dn(k: int, n: int, exponent: int) -> ScanRow:
-    law = s_pmf(ZetaWeights(exponent), n, k)
-    blocks = reflected_pmf(law, k)
-    ref = d_n_pmf(n, exponent)
-    mr = pmf_moments(blocks, 1)
-    return ScanRow(f"dn_zeta{exponent}", f"n={n},k={k}", float(mr.mean),
-                   tv_distance(blocks, ref))
+def _scan_dn(n: int, exponent: int) -> Callable[[int], tuple]:
+    def scan(k: int) -> tuple:  # blocks against D_n for 1/m^exponent weights, over k
+        law = s_pmf(ZetaWeights(exponent), n, k)
+        blocks = reflected_pmf(law, k)
+        ref = d_n_pmf(n, exponent)
+        mr = pmf_moments(blocks, 1)
+        return f"n={n},k={k}", float(mr.mean), tv_distance(blocks, ref)
+    return scan
 
 
-def _scan_beta_marginal(k: int, n: int = 5) -> ScanRow:
+def _scan_beta_marginal(k: int, n: int = 5) -> tuple:
     mr = marginal_moments(n, k, 3)
     ref = beta_moments(1, n - 1, 3)
     worst = Fraction(0)
@@ -797,66 +798,73 @@ def _scan_beta_marginal(k: int, n: int = 5) -> ScanRow:
         if s == 1:
             first = ratio
         worst = max(worst, abs(1 - ratio))
-    return ScanRow("beta_marginal", f"n={n},k={k}", float(first), float(worst))
+    return f"n={n},k={k}", float(first), float(worst)
 
 
-def _scan_geometric_marginal(n: int) -> ScanRow:
+def _scan_geometric_marginal(n: int) -> tuple:
     # n = k makes the block-density parameter c = k/n equal 1
     ref = geometric_modified_pmf(1, 5)
     worst = Fraction(0)
     for j in range(1, 6):
         ratio = marginal_mass(n, n, j) / ref[j]
         worst = max(worst, abs(1 - ratio))
-    return ScanRow("geometric_marginal", f"n={n},k={n}",
-                   float(marginal_mass(n, n, 1)), float(worst))
+    return f"n={n},k={n}", float(marginal_mass(n, n, 1)), float(worst)
 
 
-def _scan_sum_theorem_negbin(k: int) -> ScanRow:
+def _scan_sum_theorem_negbin(k: int) -> tuple:
     n = k // 2
     shifted = shifted_pmf(sum_theorem_r_pmf(n, k), -1)
     ref = negbin_pmf(1, n / k, n + 60)
     mr = pmf_moments(shifted, 1)
-    return ScanRow("sum_theorem_negbin", f"n={n},k={k}", float(mr.mean),
-                   tv_distance(shifted, ref))
+    return f"n={n},k={k}", float(mr.mean), tv_distance(shifted, ref)
 
 
-DEFAULT_GRIDS = {
-    "poisson_multiset": (100, 1000, 10000),
-    "normal_multiset": (50, 100, 200),
-    "dn_zeta1": (10, 20, 40),
-    "dn_zeta2": (10, 20, 40),
-    "beta_marginal": (20, 40, 80),
-    "geometric_marginal": (50, 200, 400),
-    "sum_theorem_negbin": (12, 24, 48),
+@dataclass(frozen=True)
+class Regime:
+    """One limit regime. scan maps a grid point to (param, value, distance), and
+    grid_min is the smallest point it accepts. The verify check named label needs the
+    distances over grid strictly decreasing, and the last below final_below when set."""
+
+    scan: Callable[[int], tuple]
+    grid: tuple
+    label: str
+    grid_min: int = 1
+    final_below: float | None = None
+
+
+# grid_min 2: at 1 there is no spread (normal), one value (geometric), n = k // 2 = 0 (negbin)
+REGIMES = {
+    "poisson_multiset": Regime(_scan_poisson_multiset, (100, 1000, 10000),
+                               "poisson regime tv decreasing"),
+    "normal_multiset": Regime(_scan_normal_multiset, (50, 100, 200),
+                              "normal regime KS decreasing and below 0.05", 2, 0.05),
+    "dn_zeta1": Regime(_scan_dn(5, 1), (10, 20, 40),
+                       "block-count regime (weights 1/m) tv below 0.01", final_below=0.01),
+    "dn_zeta2": Regime(_scan_dn(20, 2), (10, 20, 40),
+                       "block-count regime (weights 1/m^2) tv decreasing"),
+    "beta_marginal": Regime(_scan_beta_marginal, (20, 40, 80),
+                            "beta regime moment ratios converging"),
+    "geometric_marginal": Regime(_scan_geometric_marginal, (50, 200, 400),
+                                 "geometric regime mass ratios within 5%", 2, 0.05),
+    "sum_theorem_negbin": Regime(_scan_sum_theorem_negbin, (12, 24, 48),
+                                 "negative-binomial regime tv decreasing", 2),
 }
-
-_SCANNERS = {
-    "poisson_multiset": _scan_poisson_multiset,
-    "normal_multiset": _scan_normal_multiset,
-    "dn_zeta1": lambda k: _scan_dn(k, 5, 1),
-    "dn_zeta2": lambda k: _scan_dn(k, 20, 2),
-    "beta_marginal": _scan_beta_marginal,
-    "geometric_marginal": _scan_geometric_marginal,
-    "sum_theorem_negbin": _scan_sum_theorem_negbin,
-}
-
-
-# at 1: no spread (normal), n = k // 2 = 0 (negbin), one value (geometric)
-_GRID_MIN = {"normal_multiset": 2, "geometric_marginal": 2, "sum_theorem_negbin": 2}
+DEFAULT_GRIDS = {name: r.grid for name, r in REGIMES.items()}  # a view for benchmarks and tests
 
 
 def limit_scan(regime: str, grid: Sequence[int] | None = None) -> list:
     """Distance diagnostics for one limit regime over a parameter grid.
 
     Grids sweep n for poisson/normal/geometric regimes and k for the rest;
-    see DEFAULT_GRIDS for the defaults.
+    REGIMES holds each regime's scanner, default grid and smallest point.
     """
-    if regime not in _SCANNERS:
+    if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; choose from "
-                         + ", ".join(sorted(_SCANNERS)))
-    pts = DEFAULT_GRIDS[regime] if grid is None else tuple(grid)
+                         + ", ".join(sorted(REGIMES)))
+    spec = REGIMES[regime]
+    pts = spec.grid if grid is None else tuple(grid)
     if not pts:
         raise ValueError("grid must be non-empty")
     for p in pts:
-        _require_int("grid point", p, _GRID_MIN.get(regime, 1))
-    return [_SCANNERS[regime](p) for p in pts]
+        _require_int("grid point", p, spec.grid_min)
+    return [ScanRow(regime, *spec.scan(p)) for p in pts]

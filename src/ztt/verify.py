@@ -411,22 +411,8 @@ def _check_scan(regime: str, grid=None, final_below=None):
 
 
 def suite_limits(**_ignored):
-    return [
-        _run("poisson regime tv decreasing",
-             lambda: _check_scan("poisson_multiset")),
-        _run("normal regime KS decreasing and below 0.05",
-             lambda: _check_scan("normal_multiset", final_below=0.05)),
-        _run("block-count regime (weights 1/m) tv below 0.01",
-             lambda: _check_scan("dn_zeta1", final_below=0.01)),
-        _run("block-count regime (weights 1/m^2) tv decreasing",
-             lambda: _check_scan("dn_zeta2")),
-        _run("beta regime moment ratios converging",
-             lambda: _check_scan("beta_marginal")),
-        _run("geometric regime mass ratios within 5%",
-             lambda: _check_scan("geometric_marginal", final_below=0.05)),
-        _run("negative-binomial regime tv decreasing",
-             lambda: _check_scan("sum_theorem_negbin")),
-    ]
+    return [_run(r.label, lambda: _check_scan(name, final_below=r.final_below))
+            for name, r in dist.REGIMES.items()]
 
 
 SUITES = {

@@ -242,6 +242,35 @@ def test_out_of_range_cell_is_usage_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_one_table_entry_adds_a_regime(capsys, monkeypatch):
+    # a REGIMES entry alone reaches limits, limits --regime all and the verify suite
+    toy = distributions.Regime(lambda p: (f"n={p}", float(p), 1 / p), (2, 4, 8),
+                               "toy regime distance decreasing", grid_min=2)
+    monkeypatch.setitem(distributions.REGIMES, "toy", toy)
+    expected = [["toy", "n=2", "2.000000000000", "0.500000000000"],
+                ["toy", "n=4", "4.000000000000", "0.250000000000"],
+                ["toy", "n=8", "8.000000000000", "0.125000000000"]]
+    code, out, err = run(capsys, "limits", "--regime", "toy")
+    assert code == 0 and not err
+    assert [line.split() for line in out.splitlines()[1:]] == expected
+    code, out, _ = run(capsys, "limits", "--regime", "all")
+    assert code == 0
+    assert [line.split() for line in out.splitlines() if line.startswith("toy")] == expected
+    code, out, _ = run(capsys, "verify", "--suite", "limits")
+    assert code == 0
+    assert "PASS  toy regime distance decreasing\n" in out
+    assert out.endswith("8/8 checks passed\n")
+    code, out, err = run(capsys, "limits", "--regime", "toy", "--grid", "1")
+    assert code == 2 and not out
+    assert err == "error: needs grid point >= 2, got 1\n"
+    monkeypatch.setitem(distributions.REGIMES, "toy",
+                        dataclasses.replace(toy, final_below=0.1))
+    code, out, _ = run(capsys, "verify", "--suite", "limits")
+    assert code == 1
+    assert "FAIL  toy regime distance decreasing" in out
+    assert "final distance 0.125 not below 0.1" in out
+
+
 def test_verify_cli(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "sumtheorem")
     assert code == 0

@@ -118,10 +118,11 @@ def test_hypergeom_pmf_agrees_with_s_pmf():
 
 
 def test_hypergeom_guard_edges():
-    # the shared guard admits N = 0, the empty urn; only the moments refuse it
+    # the shared guard admits N = 0, the empty urn, in the pmf and the moments alike
     assert hypergeom_pmf(0, 0, 0) == Pmf(0, (1,))
-    with pytest.raises(ValueError):
-        hypergeom_moments(0, 0, 0)
+    for s_max in (1, 2, 3):
+        assert hypergeom_moments(0, 0, 0, s_max) == pmf_moments(hypergeom_pmf(0, 0, 0), s_max)
+    assert (hypergeom_moments(0, 0, 0).mean, hypergeom_moments(0, 0, 0).variance) == (0, 0)
     for args in ((3, 4, 1), (3, 1, 4), (3, -1, 1), (3, 1, -1)):
         for law in (hypergeom_pmf, hypergeom_moments):
             with pytest.raises(ValueError):
@@ -416,6 +417,17 @@ def test_limit_scan_shapes():
     for point in (0, -5):
         with pytest.raises(ValueError, match=f"needs grid point >= 1, got {point}"):
             limit_scan("poisson_multiset", (100, point))
+
+
+def test_regime_table_keeps_its_bounds():
+    # pins the verify bounds and grid minima against a silent weakening of an entry
+    assert {name: r.final_below for name, r in dist.REGIMES.items()
+            if r.final_below is not None} == {
+        "normal_multiset": 0.05, "dn_zeta1": 0.01, "geometric_marginal": 0.05}
+    assert {name: r.grid_min for name, r in dist.REGIMES.items() if r.grid_min != 1} == {
+        "normal_multiset": 2, "geometric_marginal": 2, "sum_theorem_negbin": 2}
+    assert DEFAULT_GRIDS == {name: r.grid for name, r in dist.REGIMES.items()}
+    assert len(dist.REGIMES) == 7
 
 
 def test_float_pmf_container():

@@ -64,6 +64,8 @@ CASES = {
                           "--format", "csv"),
     "limits_grid": ("limits", "--regime", "sum_theorem_negbin", "--grid",
                     "8,16", "--precision", "8"),
+    "limits_all": ("limits", "--regime", "all"),
+    "verify_limits": ("verify", "--suite", "limits", "--format", "json"),
     "partitions": ("partitions", "--n", "4", "--limit", "9"),
     "err_unknown_weights": ("theta", "--weights", "fancy", "--n", "2", "--k", "2"),
     "err_pmf_k0": ("pmf", "--n", "3", "--k", "0"),
