@@ -244,26 +244,17 @@ def moments(seq: WeightSequence, n: int, k: int, s_max: int = 2) -> MomentReport
 def multiset_sigma_closed_moments(n: int, k: int, s_max: int = 2) -> MomentReport:
     """Closed-form moments for all-ones weights.
 
-    mean = k(k-1)/(n+k-1), fm_s = (k-1)_s (k)_s / (n+k-1)_s, and for n+k > 2
-    variance = k(k-1) n(n-1) / ((n+k-1)^2 (n+k-2)).
+    fm_s = (k-1)_s (k)_s / (n+k-1)_s, so mean = k(k-1)/(n+k-1) and for
+    n+k > 2 variance = k(k-1) n(n-1) / ((n+k-1)^2 (n+k-2)).
     """
     _validate_nk(n, k, kmin=1)
     _require_int("s_max", s_max, 1)
-    mean = Fraction(k * (k - 1), n + k - 1)
-    if n + k > 2:
-        variance = Fraction(k * (k - 1) * n * (n - 1), (n + k - 1) ** 2 * (n + k - 2))
-    else:
-        variance = Fraction(0)
-    fms = []
-    for s in range(1, s_max + 1):
+
+    def fm(s):  # 0 past every support point, where the falling product vanishes
         den = falling_factorial(n + k - 1, s)
-        if den == 0:
-            # s exceeds every support point, so the falling product vanishes
-            fms.append(Fraction(0))
-        else:
-            fms.append(Fraction(
-                falling_factorial(k - 1, s) * falling_factorial(k, s), den))
-    return MomentReport(mean, variance, tuple(fms))
+        num = falling_factorial(k - 1, s) * falling_factorial(k, s)
+        return Fraction(num, den) if den else Fraction(0)
+    return _fms_to_report(s_max, fm)
 
 
 def _hypergeom_guard(total: int, marked: int, draws: int) -> None:
@@ -788,17 +779,19 @@ def _scan_dn(n: int, exponent: int) -> Callable[[int], tuple]:
     return scan
 
 
-def _scan_beta_marginal(k: int, n: int = 5) -> tuple:
-    mr = marginal_moments(n, k, 3)
-    ref = beta_moments(1, n - 1, 3)
-    worst = Fraction(0)
-    first = Fraction(0)
-    for s in range(1, 4):
-        ratio = mr.factorial_moments[s - 1] / (Fraction(k) ** s * ref[s - 1])
-        if s == 1:
-            first = ratio
-        worst = max(worst, abs(1 - ratio))
-    return f"n={n},k={k}", float(first), float(worst)
+def _scan_beta_marginal(n: int) -> Callable[[int], tuple]:
+    def scan(k: int) -> tuple:  # marginal factorial moments against Beta(1, n-1), over k
+        mr = marginal_moments(n, k, 3)
+        ref = beta_moments(1, n - 1, 3)
+        worst = Fraction(0)
+        first = Fraction(0)
+        for s in range(1, 4):
+            ratio = mr.factorial_moments[s - 1] / (Fraction(k) ** s * ref[s - 1])
+            if s == 1:
+                first = ratio
+            worst = max(worst, abs(1 - ratio))
+        return f"n={n},k={k}", float(first), float(worst)
+    return scan
 
 
 def _scan_geometric_marginal(n: int) -> tuple:
@@ -842,7 +835,7 @@ REGIMES = {
                        "block-count regime (weights 1/m) tv below 0.01", final_below=0.01),
     "dn_zeta2": Regime(_scan_dn(20, 2), (10, 20, 40),
                        "block-count regime (weights 1/m^2) tv decreasing"),
-    "beta_marginal": Regime(_scan_beta_marginal, (20, 40, 80),
+    "beta_marginal": Regime(_scan_beta_marginal(5), (20, 40, 80),
                             "beta regime moment ratios converging"),
     "geometric_marginal": Regime(_scan_geometric_marginal, (50, 200, 400),
                                  "geometric regime mass ratios within 5%", 2, 0.05),

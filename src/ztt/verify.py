@@ -100,33 +100,33 @@ def _check_partial_fraction(seqs, max_n: int, max_k: int):
     return None
 
 
-def _check_oracle(max_n: int, max_k: int, budget=None):
+def _check_oracle(max_n: int, max_k: int):
     for label, seq in BUILTIN_WEIGHTS:
         for n in range(1, max_n + 1):
             for k in range(0, max_k + 1):
-                brute = oracle.theta_bruteforce(seq, n, k, budget=budget)
+                brute = oracle.theta_bruteforce(seq, n, k)
                 if brute != theta.theta_product(seq, n, k).poly:
                     return f"oracle mismatch at weights={label} n={n} k={k}"
     return None
 
 
-def _check_oracle_tvec(points, seed: int, hi: int, budget=None):
+def _check_oracle_tvec(points, seed: int, hi: int):
     rng = random.Random(seed)
     seq = ZetaWeights(1)
     for n, k in points:
         tvec = tuple(Fraction(rng.randint(0, hi), rng.randint(1, hi))
                      for _ in range(n))
-        brute = oracle.theta_bruteforce(seq, n, k, tvec=tvec, budget=budget)
+        brute = oracle.theta_bruteforce(seq, n, k, tvec=tvec)
         if brute != theta.theta_multi_eval(seq, n, k, tvec):
             return f"multi-t oracle mismatch at n={n} k={k} tvec={tvec}"
     return None
 
 
-def _check_oracle_q(bases, points, budget=None):
+def _check_oracle_q(bases, points):
     for q in (Fraction(1, 2), Fraction(1)):
         for label, seq in bases:
             for n, k in points:
-                brute = oracle.theta_bruteforce(seq, n, k, q=q, budget=budget)
+                brute = oracle.theta_bruteforce(seq, n, k, q=q)
                 if brute != theta.theta_qt(seq, n, k, q).poly:
                     return (f"q-refined oracle mismatch at weights={label} "
                             f"q={q} n={n} k={k}")
@@ -256,7 +256,7 @@ def _check_multi_eval():
     return None
 
 
-def suite_identities(max_n: int = 8, max_k: int = 8, budget=None):
+def suite_identities(max_n: int, max_k: int):
     cap_n, cap_k = min(max_n, 6), min(max_k, 6)
     probe = (min(max_n, 4), min(max_k, 4))
     return [
@@ -267,9 +267,9 @@ def suite_identities(max_n: int = 8, max_k: int = 8, budget=None):
                  [BUILTIN_WEIGHTS[2], BUILTIN_WEIGHTS[1],
                   *random_customs(74207281, 2, cap_n, 60)], cap_n, cap_k)),
         _run("brute-force oracle agreement",
-             lambda: _check_oracle(cap_n, cap_k, budget)
-             or _check_oracle_tvec([probe] * 3, 43112609, 8, budget)
-             or _check_oracle_q(BUILTIN_WEIGHTS[2:3], [probe], budget)),
+             lambda: _check_oracle(cap_n, cap_k)
+             or _check_oracle_tvec([probe] * 3, 43112609, 8)
+             or _check_oracle_q(BUILTIN_WEIGHTS[2:3], [probe])),
         _run("endpoint specializations (binomial/Stirling)",
              lambda: _check_specializations(max_n, max_k,
                                             min(max_n, 12), min(max_k, 12))),
@@ -289,18 +289,17 @@ def suite_identities(max_n: int = 8, max_k: int = 8, budget=None):
     ]
 
 
-def _check_marginal_brute(max_n: int, max_k: int, budget=None):
+def _check_marginal_brute(max_n: int, max_k: int):
     ones = OnesWeights()
     for n in range(2, max_n + 1):
         for k in range(1, max_k + 1):
             got = dist.marginal_pmf(n, k)
-            brute = oracle.theta_marginal_bruteforce(ones, n, k, 1, budget=budget)
+            brute = oracle.theta_marginal_bruteforce(ones, n, k, 1)
             want = dist.pmf_from_masses(0, brute.coeffs)
             if got != want:
                 return f"marginal law off at n={n} k={k}"
             for i in (2, n):
-                other = oracle.theta_marginal_bruteforce(ones, n, k, i,
-                                                         budget=budget)
+                other = oracle.theta_marginal_bruteforce(ones, n, k, i)
                 if other != brute:
                     return f"marginal law depends on tracked value at n={n} k={k} i={i}"
     return None
@@ -333,7 +332,7 @@ def _check_marginal_p0(max_n: int, max_k: int):
     return None
 
 
-def _check_marginal_zeta(budget):
+def _check_marginal_zeta():
     for t0 in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
         want = (t0 + Fraction(3, 4)) / Fraction(7, 4)
         got = dist.marginal_zeta_pgf(2, 2, 1, t0)
@@ -343,23 +342,22 @@ def _check_marginal_zeta(budget):
     for n, k in ((2, 3), (3, 2), (3, 3), (4, 2)):
         total = theta.zeta_star_ones(n, k)
         for i in range(1, n + 1):
-            brute = oracle.theta_marginal_bruteforce(seq, n, k, i, budget=budget)
+            brute = oracle.theta_marginal_bruteforce(seq, n, k, i)
             for t0 in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)):
                 if dist.marginal_zeta_pgf(n, k, i, t0) != brute(t0) / total:
                     return f"weighted marginal pgf off at n={n} k={k} i={i} t={t0}"
     return None
 
 
-def suite_marginals(max_n: int = 8, max_k: int = 8, budget=None):
+def suite_marginals(max_n: int, max_k: int):
     return [
         _run("marginal law versus enumeration",
-             lambda: _check_marginal_brute(min(max_n, 6), min(max_k, 6), budget)),
+             lambda: _check_marginal_brute(min(max_n, 6), min(max_k, 6))),
         _run("marginal closed-form moments",
              lambda: _check_marginal_moments(min(max_n, 12), min(max_k, 12))),
         _run("marginal P{0} closed form and pinned divergent variant",
              lambda: _check_marginal_p0(min(max_n, 12), min(max_k, 12))),
-        _run("weighted marginal pgf",
-             lambda: _check_marginal_zeta(budget)),
+        _run("weighted marginal pgf", _check_marginal_zeta),
     ]
 
 
@@ -394,7 +392,7 @@ def _check_sum_theorem(max_k: int):
     return None
 
 
-def suite_sumtheorem(max_k: int = 20, **_ignored):
+def suite_sumtheorem(max_k: int, **_ignored):
     return [_run("sum-splitting law and Bernstein form",
                  lambda: _check_sum_theorem(max(max_k, 12)))]
 
@@ -423,9 +421,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_n: int = 8, max_k: int = 8, budget=None):
+def run_suite(name: str, max_n: int = 8, max_k: int = 8):
     """Run one named suite, or every suite for name 'all'.  max_n >= 2 and
-    max_k >= 1 are required, so every sized check visits the point (2, 1)."""
+    max_k >= 1 are required, so every sized check visits the point (2, 1).
+    The oracle checks cap n and k at 6, so at any size they enumerate at most
+    C(11, 6) = 462 multisets, under the cap the oracle reads for itself."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          + ", ".join(sorted(SUITES)) + ", all")
@@ -434,4 +434,4 @@ def run_suite(name: str, max_n: int = 8, max_k: int = 8, budget=None):
                          f"got max_n={max_n}, max_k={max_k}")
     names = SUITES if name == "all" else (name,)
     return [result for key in names
-            for result in SUITES[key](max_n=max_n, max_k=max_k, budget=budget)]
+            for result in SUITES[key](max_n=max_n, max_k=max_k)]

@@ -300,13 +300,40 @@ def test_verify_rejects_empty_grids(capsys):
     assert "12/12 checks passed" in out
 
 
-def test_nonpositive_budget_flag_is_usage_error(capsys):
-    for argv in (("verify", "--suite", "marginals", "--max-n", "3", "--max-k", "3",
-                  "--budget", "-2"),
-                 ("theta", "--n", "3", "--k", "2", "--algo", "oracle", "--budget", "0")):
+def test_nonpositive_budget_flag_is_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, "theta", "--n", "3", "--k", "2", "--algo", "oracle",
+                         "--budget", "0")
+    assert code == 2, out
+    assert "budget must be >= 1" in err
+    # verify takes no budget flag; a bad ZTT_BUDGET is refused before any check runs
+    monkeypatch.setenv("ZTT_BUDGET", "-2")
+    code, out, err = run(capsys, "verify", "--suite", "marginals", "--max-n", "3",
+                         "--max-k", "3")
+    assert code == 2 and not out
+    assert "ZTT_BUDGET must be >= 1" in err
+
+
+def test_verify_needs_at_most_462_multisets(capsys, monkeypatch):
+    # the oracle checks cap n and k at 6, so C(11, 6) = 462 multisets suffice at any size
+    monkeypatch.setenv("ZTT_BUDGET", "462")
+    code, out, _ = run(capsys, "verify")
+    assert code == 0 and "24/24 checks passed" in out
+    code, out, _ = run(capsys, "verify", "--suite", "marginals", "--max-n", "12",
+                       "--max-k", "12")
+    assert code == 0 and "4/4 checks passed" in out
+    monkeypatch.setenv("ZTT_BUDGET", "461")
+    code, out, _ = run(capsys, "verify")
+    assert code == 1 and "22/24 checks passed" in out
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split("  ")[1] for line in fails] == [
+        "brute-force oracle agreement", "marginal law versus enumeration"]
+    assert all("462 multisets for n=6, k=6" in line for line in fails)
+    # no subcommand takes a flag it would ignore
+    for argv in (("verify", "--budget", "5"), ("verify", "--precision", "3"),
+                 ("partitions", "--n", "3", "--precision", "3")):
         code, out, err = run(capsys, *argv)
-        assert code == 2, (argv, out)
-        assert "budget must be >= 1" in err
+        assert code == 2 and not out, argv
+        assert "unrecognized arguments" in err
 
 
 def _perturbed(fn):

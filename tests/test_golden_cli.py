@@ -66,7 +66,12 @@ CASES = {
                     "8,16", "--precision", "8"),
     "limits_all": ("limits", "--regime", "all"),
     "verify_limits": ("verify", "--suite", "limits", "--format", "json"),
+    "verify_all": ("verify", "--suite", "all"),
+    "limits_beta_grid": ("limits", "--regime", "beta_marginal", "--grid",
+                         "3,7,50", "--format", "json"),
     "partitions": ("partitions", "--n", "4", "--limit", "9"),
+    "partitions_json": ("partitions", "--n", "4", "--limit", "9", "--format",
+                        "json"),
     "err_unknown_weights": ("theta", "--weights", "fancy", "--n", "2", "--k", "2"),
     "err_pmf_k0": ("pmf", "--n", "3", "--k", "0"),
     "err_smax0": ("moments", "--n", "3", "--k", "2", "--smax", "0"),
