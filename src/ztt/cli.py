@@ -3,7 +3,9 @@
 Seven subcommands: theta (coefficient tables), pmf and moments (adjacency
 statistic laws), verify (named self-check suites), limits (distance scans),
 partitions (bounded-part counting series), and export (any of the above to
-a JSON or CSV file).
+a JSON or CSV file).  Export takes only --table, --out and --format; every
+other flag goes to the chosen table's own parser, which refuses a flag that
+table does not read.
 
 Output is deterministic: the same flags produce byte-identical bytes.
 Rationals render as "p/q" strings and floats at a fixed decimal precision,
@@ -25,12 +27,7 @@ from . import distributions as dist
 from . import oracle, theta, verify
 from .exact import format_rational, parse_rational
 from .oracle import BudgetExceededError
-from .weights import (
-    WeightConfigError,
-    WeightSequence,
-    builtin_weights,
-    load_weight_config,
-)
+from .weights import WeightSequence, builtin_weights, load_weight_config
 
 __all__ = ["main"]
 
@@ -41,9 +38,7 @@ class UsageError(ValueError):
 
 def parse_range(text) -> list[int]:
     """Parse '3' or '2..10' into a list of integers."""
-    if text is None:
-        raise UsageError("--n and --k are required for this table")
-    parts = str(text).split("..")
+    parts = text.split("..")
     try:
         bounds = [int(p) for p in parts]
     except ValueError as exc:
@@ -271,15 +266,10 @@ def _limits_table(args):
 
 
 def _partitions_table(args):
-    try:
-        n = int(args.n) if args.n is not None else 0
-    except ValueError as exc:
-        raise UsageError("partitions needs a single integer --n") from exc
+    n = args.n
     if n < 1:
         raise UsageError("need n >= 1")
     limit = args.limit if args.limit is not None else n
-    if limit < 0:
-        raise UsageError("need limit >= 0")
     config = {"n": n, "limit": limit}
     columns = ("index", "count")
     series = theta.partition_series(n, limit)
@@ -308,8 +298,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_export(args) -> int:
-    config, columns, rows = _BUILDERS[args.table](args)
-    text = _render(args.format, args.table, config, columns, rows)
+    config, columns, rows = _BUILDERS[args.command](args)
+    text = _render(args.format, args.command, config, columns, rows)
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -324,27 +314,17 @@ def cmd_export(args) -> int:
 # parser
 
 
-def _add_common(p, *, formats=("table", "json", "csv")) -> None:
-    p.add_argument("--format", choices=formats, default=formats[0])
+def _add_common(p) -> None:
+    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.add_argument("--precision", type=int, default=12,
                    help="decimal digits for float rendering")
 
 
-def _add_weight_flags(p, *, required: bool = True) -> None:
+def _add_weight_flags(p) -> None:
     p.add_argument("--weights", default="ones",
                    help="builtin name (ones, linear, zeta:<m>) or JSON file path")
-    p.add_argument("--n", required=required, help="value or range LO..HI")
-    p.add_argument("--k", required=required, help="value or range LO..HI")
-
-
-def _add_theta_flags(p, *, required: bool = True) -> None:
-    _add_weight_flags(p, required=required)
-    p.add_argument("--t", action="append", metavar="RATIONAL",
-                   help="evaluate at t (repeatable); default prints coefficients")
-    p.add_argument("--algo", default="newton",
-                   choices=sorted(theta.ALGORITHMS) + ["all", "oracle"])
-    p.add_argument("--budget", type=int, default=None,
-                   help="enumeration cap for --algo oracle")
+    p.add_argument("--n", required=True, help="value or range LO..HI")
+    p.add_argument("--k", required=True, help="value or range LO..HI")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,10 +333,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact tables, laws, and limit diagnostics for "
                     "interpolated weighted multiset sums.")
     sub = parser.add_subparsers(dest="command", required=True)
-    regimes = sorted(dist.REGIMES) + ["all"]
 
     p = sub.add_parser("theta", help="polynomial coefficient tables")
-    _add_theta_flags(p)
+    _add_weight_flags(p)
+    p.add_argument("--t", action="append", metavar="RATIONAL",
+                   help="evaluate at t (repeatable); default prints coefficients")
+    p.add_argument("--algo", default="newton",
+                   choices=sorted(theta.ALGORITHMS) + ["all", "oracle"])
+    p.add_argument("--budget", type=int, default=None,
+                   help="enumeration cap for --algo oracle")
     _add_common(p)
     p.set_defaults(handler=cmd_table)
 
@@ -387,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("limits", help="limit-regime distance scans")
-    p.add_argument("--regime", default="all",
-                   choices=regimes)
+    p.add_argument("--regime", default="all", choices=sorted(dist.REGIMES) + ["all"])
     p.add_argument("--grid", default=None,
                    help="comma-separated parameter grid (single regime only)")
     _add_common(p)
@@ -401,17 +385,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
     p.set_defaults(handler=cmd_table)
 
-    p = sub.add_parser("export", help="write a table to a JSON or CSV file")
+    # no abbreviations: theta's --t must reach theta, not match --table
+    p = sub.add_parser(
+        "export", allow_abbrev=False, help="write a table to a JSON or CSV file",
+        description="Write one table to a file. Every flag besides --table, "
+                    "--out and --format goes to the table's own parser, which "
+                    "refuses a flag that table does not read; see ztt TABLE --help.")
     p.add_argument("--table", required=True, choices=sorted(_BUILDERS))
-    _add_theta_flags(p, required=False)
-    p.add_argument("--smax", type=int, default=2)
-    p.add_argument("--regime", default="all",
-                   choices=regimes)
-    p.add_argument("--grid", default=None)
-    p.add_argument("--limit", type=int, default=None)
     p.add_argument("--out", required=True, help="output file path")
-    _add_common(p, formats=("json", "csv"))
-    p.set_defaults(handler=cmd_export)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 
@@ -419,7 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, rest = parser.parse_known_args(argv)
+        if args.command == "export":
+            # the table's own parser reads, and refuses, every other flag
+            out = args.out
+            args = parser.parse_args([args.table, *rest, "--format", args.format])
+            args.handler, args.out = cmd_export, out
+        elif rest:
+            parser.error("unrecognized arguments: " + " ".join(rest))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     # a double's exact decimal expansion ends within 1074 fractional digits
@@ -428,7 +417,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (UsageError, WeightConfigError, BudgetExceededError, ValueError) as exc:
+    except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
 from ztt import distributions, theta, verify
-from ztt.cli import main, parse_range, resolve_weights
+from ztt.cli import build_parser, main, parse_range, resolve_weights
 from ztt.weights import OnesWeights, ZetaWeights
 
 
@@ -234,8 +235,10 @@ def test_empty_limits_grid_is_usage_error(tmp_path, capsys):
      "needs grid point >= 2, got 1"),
     (("limits", "--regime", "sum_theorem_negbin", "--grid", "1"),
      "needs grid point >= 2, got 1"),
+    (("partitions", "--n", "3", "--limit", "-1"), "needs limit >= 0, got -1"),
 ], ids=["theta-n0", "theta-all-n0", "theta-oracle-n0", "theta-negative-k",
-        "limits-negative-grid", "limits-normal-grid1", "limits-negbin-grid1"])
+        "limits-negative-grid", "limits-normal-grid1", "limits-negbin-grid1",
+        "partitions-negative-limit"])
 def test_out_of_range_cell_is_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and not out
@@ -450,6 +453,43 @@ def test_export_precision_rendering(tmp_path, capsys):
                      str(out_path), "--format", "csv")
     assert code == 0
     assert "0.500" in out_path.read_text()
+
+
+@pytest.mark.parametrize("table, flags, foreign", [
+    ("partitions", ("--n", "3"), ("--precision", "3")),
+    ("partitions", ("--n", "3"), ("--budget", "5")),
+    ("theta", ("--n", "3", "--k", "2"), ("--smax", "3")),
+    ("pmf", ("--n", "3", "--k", "2"), ("--regime", "dn_zeta1")),
+    ("limits", (), ("--weights", "ones")),
+    ("moments", ("--n", "3", "--k", "2"), ("--t", "1/2")),
+], ids=["partitions-precision", "partitions-budget", "theta-smax", "pmf-regime",
+        "limits-weights", "moments-t"])
+def test_export_refuses_flags_its_table_does_not_read(tmp_path, capsys, table, flags,
+                                                      foreign):
+    out_path = tmp_path / "t.json"
+    code, out, err = run(capsys, "export", "--table", table, *flags, *foreign,
+                         "--out", str(out_path))
+    assert code == 2 and not out
+    assert f"unrecognized arguments: {' '.join(foreign)}" in err
+    assert not out_path.exists()
+
+
+def test_export_parser_declares_only_its_own_flags():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert list(sub.choices) == ["theta", "pmf", "moments", "verify", "limits",
+                                 "partitions", "export"]
+    flags = {s for a in sub.choices["export"]._actions for s in a.option_strings}
+    assert flags == {"-h", "--help", "--table", "--out", "--format"}
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    out_path = tmp_path / "p.csv"
+    monkeypatch.setattr(sys, "argv", ["ztt", "export", "--table", "partitions", "--n",
+                                      "3", "--format", "csv", "--out", str(out_path)])
+    code = main()
+    out = capsys.readouterr().out
+    assert code == 0 and out == f"wrote 4 rows to {out_path}\n"
+    assert out_path.read_text() == "index,count\n0,1\n1,1\n2,2\n3,3\n"
 
 
 def test_malformed_budget_env_only_affects_oracle(capsys, monkeypatch):

@@ -92,6 +92,19 @@ for _table, _flags in EXPORTS.items():
             ("export", "--table", _table) + _flags
             + ("--format", _fmt, "--out", f"{{tmp}}/out.{_fmt}"))
 
+EXPORT_THETA = ("export", "--table") + THETA
+CASES.update({
+    # theta's --t must not be read as an abbreviation of export's --table
+    "export_theta_t_csv": EXPORT_THETA + T_FLAGS + ("--format", "csv", "--out",
+                                                    "{tmp}/out.csv"),
+    "export_theta_all_json": EXPORT_THETA + ("--algo", "all", "--out", "{tmp}/out.json"),
+    "export_oracle_budget_refusal": ("export", "--table", "theta", "--n", "4", "--k",
+                                     "4", "--algo", "oracle", "--budget", "5",
+                                     "--out", "{tmp}/out.json"),
+    "export_limits_all_csv": ("export", "--table", "limits", "--format", "csv",
+                              "--out", "{tmp}/out.csv"),
+})
+
 
 def run_case(argv, tmp: Path) -> dict:
     """Run one case in ``tmp``; return its portable record."""
@@ -125,6 +138,15 @@ def test_golden_covers_every_case(golden):
 def test_golden_cli(case, golden, tmp_path, monkeypatch):
     monkeypatch.delenv("ZTT_BUDGET", raising=False)
     assert run_case(CASES[case], tmp_path) == golden[case]
+
+
+@pytest.mark.parametrize("table", sorted(EXPORTS))
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_export_writes_the_table_command_stdout(table, fmt, tmp_path):
+    shown = run_case((table,) + EXPORTS[table] + ("--format", fmt), tmp_path)
+    written = run_case(CASES[f"export_{table}_{fmt}"], tmp_path)
+    assert shown["exit"] == written["exit"] == 0
+    assert written["file"] == shown["stdout"]
 
 
 def regenerate() -> None:
